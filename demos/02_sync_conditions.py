@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from tcpsync.loss_models import INTERMEDIATE
-from tcpsync.sync_solver import SyncProblem, coupling_range, solve_sync_intermediate
+from tcpsync.sync_solver import SyncProblem, coupling_range, solve_sync
 
 omega1, omega2 = 50.0, 53.0
 tau = 0.1
@@ -29,7 +29,7 @@ if k_u is None:
 
 print(f"\n{'K':>8} {'Omega':>9} {'phi0':>9} {'r':>7}  stable roots")
 for k in sorted((0.5 * k_c, 1.2 * k_c, 3.0, 8.0, 20.0, 40.0)):
-    states = solve_sync_intermediate(
+    states = solve_sync(
         SyncProblem(omega1, omega2, float(k), tau, INTERMEDIATE)
     )
     stable = [st for st in states if st.stable]

@@ -16,11 +16,11 @@ from tcpsync.dde_sim import (
     simulate_phase_oscillators,
 )
 from tcpsync.loss_models import INTERMEDIATE
-from tcpsync.sync_solver import SyncProblem, solve_sync_intermediate
+from tcpsync.sync_solver import SyncProblem, solve_sync
 
 omega1, omega2, K, tau = 50.0, 51.0, 30.0, 0.1
 
-states = solve_sync_intermediate(SyncProblem(omega1, omega2, K, tau, INTERMEDIATE))
+states = solve_sync(SyncProblem(omega1, omega2, K, tau, INTERMEDIATE))
 print("predicted locked states:")
 for st in states:
     tag = "stable" if st.stable else ("marginal" if st.marginal else "unstable")

@@ -11,7 +11,6 @@ packet-level simulation.
 from .equilibrium import EquilibriumState, solve_coupled, solve_single
 from .errors import (
     ConfigError,
-    NoConvergenceError,
     NoRootError,
     SimulationError,
     TcpSyncError,
@@ -50,8 +49,7 @@ from .sync_solver import (
     SyncState,
     coupling_range,
     order_parameter,
-    solve_sync_intermediate,
-    solve_sync_small,
+    solve_sync,
 )
 from .trace import Trace
 

@@ -38,13 +38,7 @@ from .dde_sim import (
     simulate_phase_oscillators,
 )
 from .equilibrium import solve_coupled, solve_single
-from .errors import (
-    ConfigError,
-    NoConvergenceError,
-    NoRootError,
-    SimulationError,
-    UnsupportedConfigError,
-)
+from .errors import ConfigError, NoRootError, SimulationError, UnsupportedConfigError
 from .linear_analysis import coupling_strength, intrinsic_frequency
 from .loss_models import INTERMEDIATE, SMALL_BUFFER, NetworkParams
 from .packet_sim import FlowGroup, Topology, queue_oscillation, run_scenario
@@ -53,7 +47,7 @@ from .protocols import ProtocolSpec
 from .sync_solver import SyncProblem, coupling_range, select_state, solve_sync
 from .units import mbps_to_pkts_per_s, ms_to_s
 
-NUMERICAL_ERRORS = (NoRootError, NoConvergenceError, SimulationError, UnsupportedConfigError)
+NUMERICAL_ERRORS = (NoRootError, SimulationError, UnsupportedConfigError)
 
 
 def _jsonable(obj):
@@ -441,18 +435,11 @@ def _build_scenario(cfg, seed_override=None):
         raise ConfigError(f"bad flow group: {exc}") from exc
     try:
         edges = topo_cfg["edge_capacity_mbps"]
-        # nominal per-set one-way propagation: half the base rtt of the first
-        # group routed through each edge
-        prop = [0.0, 0.0]
-        for g in groups:
-            if g.edge in (0, 1) and prop[g.edge] == 0.0:
-                prop[g.edge] = 0.5 * g.rtt
         topo = Topology(
             edge_capacity=tuple(mbps_to_pkts_per_s(v, packet_bytes) for v in edges),
             core_capacity=mbps_to_pkts_per_s(topo_cfg["core_capacity_mbps"], packet_bytes),
             edge_buffer=tuple(float(v) for v in topo_cfg["edge_buffer_pkts"]),
             core_buffer=float(topo_cfg["core_buffer_pkts"]),
-            prop_delay=tuple(prop),
             packet_bytes=packet_bytes,
         )
     except (KeyError, TypeError, ValueError) as exc:

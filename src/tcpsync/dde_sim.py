@@ -29,8 +29,8 @@ import numpy as np
 from . import linear_analysis
 from .equilibrium import solve_coupled, solve_single
 from .errors import SimulationError
-from .loss_models import INTERMEDIATE, SMALL_BUFFER, core_loss, edge_loss
-from .protocols import COMPOUND, RENO
+from .loss_models import SMALL_BUFFER, core_loss, core_loss_fn, edge_loss, edge_loss_fn
+from .protocols import decrease_fn, increase_fn, window_laws
 from .signals import analytic_phase, dominant_frequency, fit_frequency
 from .sync_solver import order_parameter
 from .trace import Trace
@@ -152,47 +152,14 @@ def integrate_dde(rhs, delays, history, horizon, dt, floor=None):
     return np.array([col[base:] for col in cols])
 
 
-def _edge_loss_fn(regime, c_prime, tau, b, n):
-    cap = c_prime * tau
-    if regime == SMALL_BUFFER:
-        exp = b / n
-        return lambda w: min(1.0, (w / cap) ** exp / n) if w > 0.0 else 0.0
-    if regime == INTERMEDIATE:
-        capn = cap**n
-        return lambda w: ((w**n - capn) / w**n) / n if w > cap else 0.0
-    raise ValueError(f"unknown buffer regime {regime!r}")
-
-
-def _gain_fn(spec):
-    """i(w)(1-p) - d(w)p as a fast closure."""
-    if spec.variant == COMPOUND:
-        alpha, beta, km1 = spec.alpha, spec.beta, spec.k - 1.0
-
-        def gain(w, p):
-            return alpha * w**km1 * (1.0 - p) - beta * w * p
-
-    elif spec.variant == RENO:
-
-        def gain(w, p):
-            return (1.0 - p) / w - 0.5 * w * p
-
-    else:
-        amax, bmin = spec.alpha_max, spec.beta_min
-
-        def gain(w, p):
-            return amax * (1.0 - p) / w - bmin * w * p
-
-    return gain
-
-
 def simulate_fluid_single(spec, regime, net, cfg):
     """Window trajectory of one set of flows behind its edge queue."""
     eq = solve_single(spec, regime, net)
     dt = cfg.resolve_dt([net.tau])
     kick = _kick_tuple(cfg.kick, 1)
     history = _history_fn(cfg, lambda t: (eq.w_star * kick[0],), 1)
-    loss = _edge_loss_fn(regime, net.c_prime, net.tau, net.b, net.n_e)
-    gain = _gain_fn(spec)
+    loss = edge_loss_fn(regime, net.c_prime, net.tau, net.b, net.n_e)
+    gain = window_laws(spec).gain
     inv_tau = 1.0 / net.tau
 
     def rhs(t, y, ylag):
@@ -255,22 +222,10 @@ def simulate_fluid_coupled(spec, regime, net, tau1, tau2, cfg):
         cfg, lambda t: (eq1.w_star * kick[0], eq2.w_star * kick[1]), 2
     )
     net.require_core()
-    loss1 = _edge_loss_fn(regime, net.c_prime, tau1, net.b, net.n_e)
-    loss2 = _edge_loss_fn(regime, net.c_prime, tau2, net.b, net.n_e)
-    gain = _gain_fn(spec)
-    ctilde, nc = net.C_tilde, net.n_c
-    if regime == SMALL_BUFFER:
-        bexp = net.B / nc
-
-        def core(rate):
-            return min(1.0, (rate / ctilde) ** bexp / nc)
-
-    else:
-        ctn = ctilde**nc
-
-        def core(rate):
-            return ((rate**nc - ctn) / rate**nc) / nc if rate > ctilde else 0.0
-
+    loss1 = edge_loss_fn(regime, net.c_prime, tau1, net.b, net.n_e)
+    loss2 = edge_loss_fn(regime, net.c_prime, tau2, net.b, net.n_e)
+    core = core_loss_fn(regime, net.C_tilde, net.B, net.n_c)
+    gain = window_laws(spec).gain
     inv1, inv2 = 1.0 / tau1, 1.0 / tau2
 
     def rhs(t, y, ylag):
@@ -347,8 +302,6 @@ def phase_model_intermediate_equal(omega1, omega2, K, tau, tau2=None):
 def phase_model_small_general(spec, net, eq1, eq2, tau1, tau2, omega1, omega2,
                               r1=1.0, r2=1.0):
     """General (unequal sets) small-buffer reduction."""
-    from .protocols import increase_fn
-
     net.require_core()
     ws = (eq1.w_star, eq2.w_star)
     taus = (tau1, tau2)
@@ -369,8 +322,6 @@ def phase_model_small_general(spec, net, eq1, eq2, tau1, tau2, omega1, omega2,
 def phase_model_intermediate_general(spec, net, eq1, eq2, tau1, tau2, omega1, omega2,
                                      r1=1.0, r2=1.0):
     """General (unequal sets) intermediate-buffer reduction."""
-    from .protocols import decrease_fn, increase_fn
-
     net.require_core()
     ws = (eq1.w_star, eq2.w_star)
     taus = (tau1, tau2)

@@ -14,14 +14,12 @@ irrelevant at this scale.
 
 from dataclasses import dataclass
 
-from .errors import NoConvergenceError, NoRootError
-from .loss_models import INTERMEDIATE, SMALL_BUFFER, core_loss, edge_loss
-from .protocols import decrease_fn, increase_fn
+from .errors import NoRootError
+from .loss_models import INTERMEDIATE, SMALL_BUFFER, core_loss_fn, edge_loss_fn
+from .protocols import window_laws
 
 #: relative bracket width at which bisection stops
 BISECT_RTOL = 1e-13
-#: cap on attempts to bracket the coupled core loss
-COUPLED_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class EquilibriumState:
 
 def balance_residual(spec, w, p_total):
     """i(w)(1-p) - d(w)p; positive when the window still wants to grow."""
-    return increase_fn(spec, w) * (1.0 - p_total) - decrease_fn(spec, w) * p_total
+    return window_laws(spec).gain(w, p_total)
 
 
 def _bisect(f, lo, hi, rtol=BISECT_RTOL):
@@ -85,14 +83,12 @@ def _bracket(regime, net):
 
 def solve_single(spec, regime, net):
     """Equilibrium of one edge set in isolation (no core loss)."""
-
-    def f(w):
-        return balance_residual(spec, w, edge_loss(regime, w, net).p)
-
+    gain = window_laws(spec).gain
+    loss = edge_loss_fn(regime, net.c_prime, net.tau, net.b, net.n_e)
     lo, hi = _bracket(regime, net)
-    w = _bisect(f, lo, hi)
-    p = edge_loss(regime, w, net).p
-    return EquilibriumState(w, p, 0.0, balance_residual(spec, w, p))
+    w = _bisect(lambda w: gain(w, loss(w)), lo, hi)
+    p = loss(w)
+    return EquilibriumState(w, p, 0.0, gain(w, p))
 
 
 def solve_coupled(spec, regime, net, tau1, tau2):
@@ -100,62 +96,50 @@ def solve_coupled(spec, regime, net, tau1, tau2):
 
     The core loss is the only quantity linking the two balance equations, so
     the solver bisects on it: for a trial core loss q each set's window
-    w_m(q) comes from its own bracketed bisection, and the residual
-    core_loss(w_1(q), w_2(q)) - q is strictly decreasing in q (windows fall,
-    the aggregate rate falls, the implied core loss falls).  This stays
-    robust even when the core dominates the edge losses, where a damped
-    alternating update diverges.
+    w_m(q) comes from its own bracketed bisection, and the implied core loss
+    core_loss(w_1(q), w_2(q)) is non-increasing in q (windows fall, the
+    aggregate rate falls, the implied core loss falls).  The fixed point
+    therefore lies in [0, p0] with p0 the core loss at the edge-only windows,
+    and bisecting that interval never evaluates an inner solve at a core
+    loss the sets cannot balance.  This stays robust even when the core
+    dominates the edge losses, where a damped alternating update diverges.
     """
     net.require_core()
     taus = (tau1, tau2)
+    gain = window_laws(spec).gain
+    edge = [edge_loss_fn(regime, net.c_prime, tau, net.b, net.n_e) for tau in taus]
+    core = core_loss_fn(regime, net.C_tilde, net.B, net.n_c)
 
-    def f(w, tau, p_core):
-        p_edge = edge_loss(regime, w, net, tau=tau).p
-        return balance_residual(spec, w, p_edge + p_core)
-
-    def solve_set(tau, p_core):
+    def solve_set(m, p_core):
         # with core loss in play an equilibrium below the edge capacity point
         # is possible even in the intermediate regime, so bracket from near 0
-        return _bisect(lambda w: f(w, tau, p_core), 1e-6, 10.0 * net.c_prime * tau)
+        loss = edge[m]
+        return _bisect(lambda w: gain(w, loss(w) + p_core), 1e-6, 10.0 * net.c_prime * taus[m])
 
-    def implied(p_core):
-        ws = [solve_set(taus[m], p_core) for m in (0, 1)]
-        return core_loss(regime, ws[0], ws[1], net, tau1, tau2).p, ws
+    def windows(p_core):
+        return [solve_set(m, p_core) for m in (0, 1)]
 
-    p0, ws = implied(0.0)
-    if p0 == 0.0:
-        p_core = 0.0
-    else:
-        hi = min(1.0 - 1e-9, 2.0 * p0)
-        for _ in range(COUPLED_MAX_ITER):
-            p_hi, _ = implied(hi)
-            if p_hi <= hi:
-                break
-            hi = 0.5 * (1.0 + hi)
-        else:
-            raise NoConvergenceError(
-                "could not bracket the coupled core loss",
-                last_iterate=(ws[0], ws[1], hi),
-            )
-        lo = 0.0
+    def implied(ws):
+        return core(ws[0] / tau1 + ws[1] / tau2)
+
+    ws = windows(0.0)
+    p_core = implied(ws)
+    if p_core > 0.0:
+        lo, hi = 0.0, p_core
         for _ in range(120):
             mid = 0.5 * (lo + hi)
-            p_mid, ws = implied(mid)
-            if p_mid > mid:
+            if implied(windows(mid)) > mid:
                 lo = mid
             else:
                 hi = mid
             if hi - lo <= 1e-16 * max(hi, 1e-300):
                 break
-        p_core = 0.5 * (lo + hi)
-        ws = [solve_set(taus[m], p_core) for m in (0, 1)]
         # report the core loss the solved windows actually produce
-        p_core = core_loss(regime, ws[0], ws[1], net, tau1, tau2).p
-        ws = [solve_set(taus[m], p_core) for m in (0, 1)]
+        p_core = implied(windows(0.5 * (lo + hi)))
+        ws = windows(p_core)
 
     states = []
     for m in (0, 1):
-        p_edge = edge_loss(regime, ws[m], net, tau=taus[m]).p
-        res = balance_residual(spec, ws[m], p_edge + p_core)
-        states.append(EquilibriumState(ws[m], p_edge, p_core, res))
+        p_edge = edge[m](ws[m])
+        states.append(EquilibriumState(ws[m], p_edge, p_core, gain(ws[m], p_edge + p_core)))
     return states[0], states[1]

@@ -20,18 +20,6 @@ class NoRootError(TcpSyncError):
         self.bracket = bracket
 
 
-class NoConvergenceError(TcpSyncError):
-    """An iterative solver hit its iteration cap.
-
-    ``last_iterate`` and ``residuals`` describe where it stopped.
-    """
-
-    def __init__(self, message, last_iterate=None, residuals=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residuals = residuals
-
-
 class UnsupportedConfigError(TcpSyncError):
     """Operation called outside the configuration it is derived for."""
 

@@ -19,7 +19,11 @@ burstiness parameter to 1 recovers the smooth-traffic forms exactly.
 
 The small-buffer power laws are unbounded above capacity, so values are
 clamped to [0, 1]; the ``clamped`` flag marks that the operating point left
-the model's validity range.  All functions accept scalars or numpy arrays.
+the model's validity range.  The array functions accept scalars or numpy
+arrays and feed trace channels and the :class:`LossResult` API.  Scalar
+callers (the equilibrium solvers and the delay-differential right-hand
+sides) use the plain-float closures from :func:`edge_loss_fn` and
+:func:`core_loss_fn` instead, which skip numpy's per-call overhead.
 """
 
 from dataclasses import dataclass
@@ -131,6 +135,45 @@ def core_loss_intermediate(w1, w2, tau1, tau2, C_tilde, n_c=1.0):
     if frac.ndim == 0:
         frac = float(frac)
     return LossResult(frac, False)
+
+
+def _drop_tail_fn(regime, cap, buf, n):
+    """Plain-float p(x) of a Drop-Tail queue serving ``cap`` at offered load
+    ``x`` (same units as ``cap``), clamped to [0, 1]."""
+    if regime == SMALL_BUFFER:
+        exp = buf / n
+
+        def p(x):
+            if not x > 0.0:
+                return 0.0
+            try:
+                return min(1.0, (x / cap) ** exp / n)
+            except OverflowError:  # the array path overflows to inf and clamps
+                return 1.0
+
+        return p
+    if regime == INTERMEDIATE:
+        capn = cap**n
+
+        def p(x):
+            if not x > cap:
+                return 0.0
+            xn = x**n
+            return ((xn - capn) / xn) / n
+
+        return p
+    raise ValueError(f"unknown buffer regime {regime!r}")
+
+
+def edge_loss_fn(regime, c_prime, tau, b, n):
+    """Scalar edge loss p(w) of one set's window ``w``; see :func:`edge_loss`."""
+    return _drop_tail_fn(regime, c_prime * tau, b, n)
+
+
+def core_loss_fn(regime, C_tilde, B, n_c):
+    """Scalar core loss p(rate) of the aggregate arrival rate of both sets,
+    packets/s; each caller forms the rate (sum of w_m/tau_m) itself."""
+    return _drop_tail_fn(regime, C_tilde, B, n_c)
 
 
 def edge_loss(regime, w, net, tau=None):

@@ -44,21 +44,18 @@ DUPACK_DETECT = 3
 
 @dataclass(frozen=True)
 class Topology:
-    """Capacities in packets/s, buffers in packets, delays in seconds.
+    """Capacities in packets/s, buffers in packets.
 
-    ``prop_delay`` records the nominal one-way propagation per set.  The
-    effective per-flow propagation is derived from each flow group's base
-    round-trip time minus the serialisation chain, so groups with different
-    round-trip times can share an edge; keep ``prop_delay`` consistent with
-    the groups routed through each set.  ``packet_bytes`` is carried for
-    unit conversions at the configuration boundary only.
+    Per-flow propagation is derived from each flow group's base round-trip
+    time minus the serialisation chain, so groups with different round-trip
+    times can share an edge.  ``packet_bytes`` is carried for unit
+    conversions at the configuration boundary only.
     """
 
     edge_capacity: tuple
     core_capacity: float
     edge_buffer: tuple
     core_buffer: float
-    prop_delay: tuple
     packet_bytes: int = 1500
 
     def __post_init__(self):

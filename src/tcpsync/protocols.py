@@ -18,6 +18,7 @@ where ``p`` is the (delayed) packet loss probability seen by the set.
 """
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 COMPOUND = "compound"
 RENO = "reno"
@@ -72,27 +73,59 @@ class ProtocolSpec:
         return cls(ILLINOIS, alpha_max=alpha_max, beta_min=beta_min)
 
 
+class WindowLaws(NamedTuple):
+    """Plain-float closures of one variant's window laws.
+
+    ``increase(w)`` is i(w), ``decrease(w)`` is d(w) and ``gain(w, p)`` the
+    bracketed fluid term i(w)(1-p) - d(w)p.  None of them checks its domain,
+    so hot loops can call them directly.
+    """
+
+    increase: Callable
+    decrease: Callable
+    gain: Callable
+
+
+def window_laws(spec):
+    """The :class:`WindowLaws` of ``spec``.
+
+    Each variant's laws are written out once, inside its gain; in floating
+    point i(w) = gain(w, 0) and d(w) = -gain(w, 1) hold exactly, so the
+    gain costs one call in the integrator's inner loop.
+    """
+    if spec.variant == COMPOUND:
+        # k = 1 degenerates to the constant alpha, k = 0 to alpha/w.
+        alpha, beta, km1 = spec.alpha, spec.beta, spec.k - 1.0
+
+        def gain(w, p):
+            return alpha * w**km1 * (1.0 - p) - beta * w * p
+
+    elif spec.variant == RENO:
+
+        def gain(w, p):
+            return (1.0 / w) * (1.0 - p) - (w / 2.0) * p
+
+    else:
+        amax, bmin = spec.alpha_max, spec.beta_min
+
+        def gain(w, p):
+            return (amax / w) * (1.0 - p) - bmin * w * p
+
+    return WindowLaws(lambda w: gain(w, 0.0), lambda w: -gain(w, 1.0), gain)
+
+
 def increase_fn(spec, w):
     """Per-ack window increment i(w), packets.  Requires w > 0."""
     if not w > 0:
         raise ValueError(f"window must be positive, got {w}")
-    if spec.variant == COMPOUND:
-        # k = 1 degenerates to the constant alpha, k = 0 to alpha/w.
-        return spec.alpha * w ** (spec.k - 1.0)
-    if spec.variant == RENO:
-        return 1.0 / w
-    return spec.alpha_max / w
+    return window_laws(spec).increase(w)
 
 
 def decrease_fn(spec, w):
     """Per-loss window decrement d(w), packets.  Requires w > 0."""
     if not w > 0:
         raise ValueError(f"window must be positive, got {w}")
-    if spec.variant == COMPOUND:
-        return spec.beta * w
-    if spec.variant == RENO:
-        return w / 2.0
-    return spec.beta_min * w
+    return window_laws(spec).decrease(w)
 
 
 def elasticity_gap(spec):
@@ -132,5 +165,4 @@ def window_derivative(spec, w_now, w_lag, p_lag, tau):
         raise ValueError(f"loss probability must lie in [0, 1], got {p_lag}")
     if not tau > 0:
         raise ValueError(f"round-trip time must be positive, got {tau}")
-    gain = increase_fn(spec, w_now) * (1.0 - p_lag) - decrease_fn(spec, w_now) * p_lag
-    return (w_lag / tau) * gain
+    return (w_lag / tau) * window_laws(spec).gain(w_now, p_lag)

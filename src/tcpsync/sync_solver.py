@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .loss_models import INTERMEDIATE, SMALL_BUFFER
+from .loss_models import INTERMEDIATE, REGIMES, SMALL_BUFFER
 
 #: number of points in the frequency scan grid
 SCAN_POINTS = 10_000
@@ -64,17 +64,19 @@ class SyncProblem:
     n_c: float = 1.0
     n_e: float = 1.0
 
+    def __post_init__(self):
+        if self.regime not in REGIMES:
+            raise ValueError(f"unknown buffer regime {self.regime!r}")
+
     def gains(self):
         """(D, S): net self-interaction and cross-interaction gains."""
-        if self.regime == SMALL_BUFFER:
-            if self.B is None or self.b is None:
-                raise ValueError("small-buffer sync problem needs B and b")
-            s = self.K * self.B / (2.0 * self.n_c)
-            d = self.K * (self.B / (2.0 * self.n_c) - self.b / self.n_e)
-            return d, s
         if self.regime == INTERMEDIATE:
             return self.K, self.K
-        raise ValueError(f"unknown buffer regime {self.regime!r}")
+        if self.B is None or self.b is None:
+            raise ValueError("small-buffer sync problem needs B and b")
+        s = self.K * self.B / (2.0 * self.n_c)
+        d = self.K * (self.B / (2.0 * self.n_c) - self.b / self.n_e)
+        return d, s
 
     def stability_factor(self, Omega):
         if self.regime == SMALL_BUFFER:
@@ -189,15 +191,19 @@ def _scan_roots(problem, omega_max, n_grid):
     sin_phi_cl = np.clip(np.nan_to_num(sin_phi, nan=2.0), -1.0, 1.0)
     cos_phi_mag = np.sqrt(1.0 - sin_phi_cl**2)
 
+    def sin_phi0(om):
+        """Scalar sin(phi0) of the phase balance, clamped as on the grid."""
+        sp = detuning / (2.0 * s * math.cos(om * tau))
+        if not math.isfinite(sp):
+            sp = 2.0
+        return min(1.0, max(-1.0, sp))
+
     candidates = []
     for sign in (+1.0, -1.0):  # cos(phi0) > 0 branch, then the pi-complement
         g = omega_bar + d * sin_ot + sign * s * sin_ot * cos_phi_mag - grid
 
         def g_at(om):
-            sp = detuning / (2.0 * s * math.cos(om * tau))
-            if not math.isfinite(sp):
-                sp = 2.0
-            sp = min(1.0, max(-1.0, sp))
+            sp = sin_phi0(om)
             cp = sign * math.sqrt(max(0.0, 1.0 - sp * sp))
             return omega_bar + d * math.sin(om * tau) + s * math.sin(om * tau) * cp - om
 
@@ -214,11 +220,8 @@ def _scan_roots(problem, omega_max, n_grid):
                 else:
                     hi = mid
             om = 0.5 * (lo + hi)
-            sp = detuning / (2.0 * s * math.cos(om * tau))
-            if not math.isfinite(sp):
-                sp = 2.0
-            sp = min(1.0, max(-1.0, sp))
-            phi = math.asin(sp) if sign > 0 else _wrap(math.pi - math.asin(sp))
+            asin_sp = math.asin(sin_phi0(om))
+            phi = asin_sp if sign > 0 else _wrap(math.pi - asin_sp)
             candidates.append((om, phi))
     roots = []
     for om, phi in candidates:
@@ -235,7 +238,8 @@ def _scan_roots(problem, omega_max, n_grid):
     return [_make_state(problem, om, phi) for om, phi in roots]
 
 
-def _solve(problem, omega_max, n_grid):
+def solve_sync(problem, omega_max=None, n_grid=SCAN_POINTS):
+    """All locked states of the oscillator pair, sorted by Omega."""
     if problem.K < 0:
         raise ValueError("coupling strength must be non-negative")
     omega_bar = 0.5 * (problem.omega1 + problem.omega2)
@@ -248,26 +252,6 @@ def _solve(problem, omega_max, n_grid):
             return [_make_state(problem, problem.omega1, 0.0)]
         return []
     return _scan_roots(problem, omega_max, n_grid)
-
-
-def solve_sync_small(problem, omega_max=None, n_grid=SCAN_POINTS):
-    """All locked states of the small-buffer oscillator pair, sorted by Omega."""
-    if problem.regime != SMALL_BUFFER:
-        raise ValueError("problem regime is not small-buffer")
-    return _solve(problem, omega_max, n_grid)
-
-
-def solve_sync_intermediate(problem, omega_max=None, n_grid=SCAN_POINTS):
-    """All locked states of the intermediate-buffer oscillator pair, sorted by Omega."""
-    if problem.regime != INTERMEDIATE:
-        raise ValueError("problem regime is not intermediate")
-    return _solve(problem, omega_max, n_grid)
-
-
-def solve_sync(problem, omega_max=None, n_grid=SCAN_POINTS):
-    if problem.regime == SMALL_BUFFER:
-        return solve_sync_small(problem, omega_max, n_grid)
-    return solve_sync_intermediate(problem, omega_max, n_grid)
 
 
 def select_state(states):
@@ -293,6 +277,9 @@ def coupling_range(problem, k_values, refine_iters=40):
     def roots_at(k):
         return solve_sync(replace(problem, K=k))
 
+    def none_stable(states):
+        return bool(states) and not any(st.stable for st in states)
+
     def refine(lo, hi, pred):
         # pred flips from False at lo to True at hi
         for _ in range(refine_iters):
@@ -311,7 +298,7 @@ def coupling_range(problem, k_values, refine_iters=40):
     for k in ks:
         states = roots_at(k)
         any_root = bool(states)
-        all_unstable = bool(states) and not any(st.stable for st in states)
+        all_unstable = none_stable(states)
         if k_c is None and any_root:
             if prev_k is None or prev_any:
                 k_c = k
@@ -321,10 +308,7 @@ def coupling_range(problem, k_values, refine_iters=40):
             if prev_all_unstable or prev_k is None or prev_k < k_c:
                 k_u = k
             else:
-                k_u = refine(
-                    prev_k, k,
-                    lambda kk: bool(roots_at(kk)) and not any(st.stable for st in roots_at(kk)),
-                )
+                k_u = refine(prev_k, k, lambda kk: none_stable(roots_at(kk)))
         prev_k, prev_any, prev_all_unstable = k, any_root, all_unstable
         if k_c is not None and k_u is not None:
             break

@@ -233,3 +233,26 @@ def test_cli_fluid_simulation(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["limit_cycle"]["amplitude"] > 0
     assert (tmp_path / "fluid-single.csv").exists()
+
+
+def test_cli_fluid_large_small_buffer_does_not_overflow(tmp_path):
+    """A kicked window far above c'tau with b = 400 overflows (w/c'tau)**b;
+    the loss must saturate at 1, leaving a clean exit or a typed refusal."""
+    cfg = {
+        "protocol": {"variant": "reno"},
+        "regime": "small-buffer",
+        "model": "single",
+        "network": {
+            "edge_capacity_per_flow_pkts_per_s": 200.0,
+            "rtt_ms": 100.0,
+            "edge_buffer_pkts": 400.0,
+        },
+        "horizon_s": 2.0,
+        "kick": 20.0,
+    }
+    path = tmp_path / "fluid.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["simulate-fluid", "--config", str(path), "--out", str(tmp_path)])
+    assert proc.returncode in (0, 2), proc.stderr
+    if proc.returncode == 2:
+        assert json.loads(proc.stderr)["error"]["type"] == "numerical"

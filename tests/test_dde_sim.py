@@ -22,7 +22,7 @@ from tcpsync.linear_analysis import coupling_strength, delay_coefficients, intri
 from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER, NetworkParams
 from tcpsync.protocols import ProtocolSpec
 from tcpsync.signals import analytic_phase, fit_frequency, local_maxima
-from tcpsync.sync_solver import SyncProblem, order_parameter, solve_sync_intermediate, solve_sync_small
+from tcpsync.sync_solver import SyncProblem, order_parameter, solve_sync
 from tcpsync.trace import Trace
 
 from oracles import count_rhp_roots
@@ -155,7 +155,7 @@ def test_coupled_detuned_locks_near_predicted_frequency():
     problem = SyncProblem(
         omega_of(tau1), omega_of(tau2), k_s, net.tau, SMALL_BUFFER, B=net.B, b=net.b
     )
-    stable = [st for st in solve_sync_small(problem) if st.stable]
+    stable = [st for st in solve_sync(problem) if st.stable]
     assert stable
     tr = simulate_fluid_coupled(
         RENO, SMALL_BUFFER, net, tau1, tau2, DdeConfig(horizon=120.0, kick=(1.03, 0.98))
@@ -197,7 +197,7 @@ def test_phase_free_run_is_exact():
 
 def test_phase_lock_matches_solver_root():
     om1, om2, K, tau = 50.0, 51.0, 30.0, 0.1
-    states = solve_sync_intermediate(SyncProblem(om1, om2, K, tau, INTERMEDIATE))
+    states = solve_sync(SyncProblem(om1, om2, K, tau, INTERMEDIATE))
     stable = [s for s in states if s.stable]
     tr = simulate_phase_oscillators(
         phase_model_intermediate_equal(om1, om2, K, tau), DdeConfig(horizon=12.0)
@@ -212,7 +212,7 @@ def test_phase_lock_matches_solver_root():
 
 def test_phase_small_buffer_lock_matches_solver_root():
     om1, om2, K, tau, B, b = 60.0, 60.6, 1.2, 0.1, 25.0, 10.0
-    states = solve_sync_small(SyncProblem(om1, om2, K, tau, SMALL_BUFFER, B=B, b=b))
+    states = solve_sync(SyncProblem(om1, om2, K, tau, SMALL_BUFFER, B=B, b=b))
     stable = [s for s in states if s.stable]
     assert stable
     tr = simulate_phase_oscillators(
@@ -229,7 +229,7 @@ def test_phase_unstable_lock_perturbation_grows():
     """A root violating the stability inequality (cos(Omega tau) > 0): a
     10 mrad phase offset from the lock grows by 10x within 50 periods."""
     om, K, tau = 10.0, 1.0, 0.1
-    states = solve_sync_intermediate(SyncProblem(om, om, K, tau, INTERMEDIATE))
+    states = solve_sync(SyncProblem(om, om, K, tau, INTERMEDIATE))
     inphase = [s for s in states if abs(s.phi0) < 1e-9 and not s.stable]
     assert inphase
     root = inphase[0]

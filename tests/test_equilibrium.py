@@ -1,5 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from tcpsync.equilibrium import balance_residual, solve_coupled, solve_single
@@ -143,12 +148,25 @@ def test_coupled_core_loss_lowers_windows():
     assert e1.w_star < single.w_star
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.variant)
-@pytest.mark.parametrize("regime", [SMALL_BUFFER, INTERMEDIATE])
-def test_coupled_residuals_and_independent_root(spec, regime):
+COUPLED_CASES = [
+    pytest.param(spec, regime, dict(C_tilde=2 * 0.9 * 250.0, B=20), id=f"{regime}-{spec.variant}")
+    for regime in (SMALL_BUFFER, INTERMEDIATE)
+    for spec in SPECS
+] + [
+    # the edge-only windows lose most of their packets at this core, yet the
+    # coupled equilibrium is ordinary (p_core about 0.007)
+    pytest.param(
+        ProtocolSpec.compound(), SMALL_BUFFER, dict(b=25, C_tilde=375.0, B=40),
+        id="small-buffer-compound-core-overload",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, regime, core_kw", COUPLED_CASES)
+def test_coupled_residuals_and_independent_root(spec, regime, core_kw):
     """Residuals below 1e-10 and agreement with a scipy multi-dimensional
     root solve of the simultaneous balance equations."""
-    net = core_net(C_tilde=2 * 0.9 * 250.0, B=20)
+    net = core_net(**core_kw)
     tau1, tau2 = 0.1, 0.11
     e1, e2 = solve_coupled(spec, regime, net, tau1, tau2)
     assert abs(e1.residual) <= 1e-10
@@ -165,3 +183,51 @@ def test_coupled_residuals_and_independent_root(spec, regime):
     assert sol.success
     assert e1.w_star == pytest.approx(sol.x[0], rel=1e-8)
     assert e2.w_star == pytest.approx(sol.x[1], rel=1e-8)
+
+
+def test_single_large_small_buffer_saturates_instead_of_overflowing():
+    """(w/c'tau)**b overflows a float at the top of the bracket once b is
+    in the hundreds; the loss saturates at 1 there, as in the array path."""
+    net = NetworkParams(c_prime=200.0, tau=0.1, b=400)
+    eq = solve_single(ProtocolSpec.reno(), SMALL_BUFFER, net)
+    assert eq.w_star == 19.737880194090636
+
+
+def _dimensioning(capacity_pkts, n_flows):
+    return float(max(1, round(capacity_pkts * 0.250 / math.sqrt(n_flows))))
+
+
+@settings(max_examples=40)
+@given(
+    spec=st.sampled_from(SPECS),
+    regime=st.sampled_from([SMALL_BUFFER, INTERMEDIATE]),
+    c_prime=st.floats(50.0, 5000.0),
+    factor=st.floats(1.5, 1.97),
+    rtt1=st.floats(0.02, 0.2),
+    ratio=st.floats(1.0, 1.1),
+    b=st.floats(5.0, 30.0),
+    B=st.floats(15.0, 60.0),
+)
+def test_coupled_property_over_analyze_box(spec, regime, c_prime, factor, rtt1, ratio, b, B):
+    """Over the parameter box of the analyze benchmark workload: residuals at
+    the noise floor, the core loss inside [0, p0] (p0 the core loss at the
+    edge-only windows) and exact exchange symmetry in the two delays."""
+    if regime == INTERMEDIATE:
+        b = _dimensioning(10.0 * c_prime, 10)
+        B = _dimensioning(10.0 * factor * c_prime, 20)
+    tau1, tau2 = rtt1, rtt1 * ratio
+    net = NetworkParams(c_prime=c_prime, tau=0.5 * (tau1 + tau2), b=b,
+                        C_tilde=factor * c_prime, B=B)
+    e1, e2 = solve_coupled(spec, regime, net, tau1, tau2)
+    assert abs(e1.residual) <= 1e-10
+    assert abs(e2.residual) <= 1e-10
+
+    w1 = solve_single(spec, regime, replace(net, tau=tau1)).w_star
+    w2 = solve_single(spec, regime, replace(net, tau=tau2)).w_star
+    p0 = core_loss(regime, w1, w2, net, tau1, tau2).p
+    # solve_single brackets the intermediate regime differently, so its
+    # windows (and p0) agree with the solver's own only to bisection tolerance
+    assert 0.0 <= e1.p_core_star <= p0 * (1.0 + 1e-9)
+
+    s1, s2 = solve_coupled(spec, regime, net, tau2, tau1)
+    assert (s1.w_star, s2.w_star) == (e2.w_star, e1.w_star)

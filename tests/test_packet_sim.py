@@ -105,7 +105,6 @@ def single_queue_scenario(duration=60.0, seed=1):
         core_capacity=1590.0,
         edge_buffer=(10, 50),
         core_buffer=500,
-        prop_delay=(0.02, 0.02),
     )
     grp = FlowGroup(count=1, protocol=ProtocolSpec.reno(), rtt=0.05, edge=0,
                     access_rate=8000.0)
@@ -184,7 +183,6 @@ def test_two_set_topology_runs_and_loads_core():
         core_capacity=2736.1,
         edge_buffer=(100, 100),
         core_buffer=100,
-        prop_delay=(0.04, 0.045),
     )
     groups = [
         FlowGroup(count=10, protocol=ProtocolSpec.compound(), rtt=0.1, edge=0,
@@ -208,7 +206,6 @@ def test_cross_traffic_enters_core_only():
         core_capacity=1500.0,
         edge_buffer=(50, 50),
         core_buffer=30,
-        prop_delay=(0.03, 0.03),
     )
     groups = [
         FlowGroup(count=4, protocol=ProtocolSpec.reno(), rtt=0.06, edge=0,
@@ -228,5 +225,4 @@ def test_core_bottleneck_warning():
             core_capacity=2000.0,
             edge_buffer=(10, 10),
             core_buffer=10,
-            prop_delay=(0.01, 0.01),
         )

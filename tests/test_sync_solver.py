@@ -9,8 +9,7 @@ from tcpsync.sync_solver import (
     coupling_range,
     order_parameter,
     select_state,
-    solve_sync_intermediate,
-    solve_sync_small,
+    solve_sync,
 )
 
 from oracles import brute_sync_roots
@@ -40,7 +39,7 @@ def back_substitute(problem, st):
 
 def test_intermediate_reference_case_residuals():
     p = inter_problem()
-    states = solve_sync_intermediate(p)
+    states = solve_sync(p)
     assert states, "expected at least one locked state"
     for st in states:
         rf, rp = back_substitute(p, st)
@@ -51,7 +50,7 @@ def test_intermediate_reference_case_residuals():
 
 def test_equal_frequencies_inphase_root():
     p = inter_problem(omega2=50.0)
-    states = solve_sync_intermediate(p)
+    states = solve_sync(p)
     inphase = [st for st in states if abs(st.phi0) < 1e-10]
     assert inphase
     st = inphase[0]
@@ -63,18 +62,18 @@ def test_equal_frequencies_inphase_root():
 
 def test_zero_coupling():
     p = inter_problem(omega2=50.0, K=0.0)
-    states = solve_sync_intermediate(p)
+    states = solve_sync(p)
     assert len(states) == 1
     assert states[0].Omega == pytest.approx(50.0)
     assert states[0].phi0 == 0.0
     assert not states[0].stable and states[0].marginal
-    assert solve_sync_intermediate(inter_problem(K=0.0)) == []
+    assert solve_sync(inter_problem(K=0.0)) == []
 
 
 def test_swap_symmetry_negates_phase():
     p = inter_problem(omega1=48.0, omega2=52.0, K=40.0)
     q = inter_problem(omega1=52.0, omega2=48.0, K=40.0)
-    sp_, sq = solve_sync_intermediate(p), solve_sync_intermediate(q)
+    sp_, sq = solve_sync(p), solve_sync(q)
     assert len(sp_) == len(sq) and sp_
     for a, b in zip(sp_, sq):
         assert a.Omega == pytest.approx(b.Omega, rel=1e-10, abs=1e-10)
@@ -84,14 +83,14 @@ def test_swap_symmetry_negates_phase():
 def test_detuned_below_critical_coupling_is_empty():
     # |sin phi0| = |detuning| / (2 K |cos|) > 1 for K this small
     p = inter_problem(omega1=50.0, omega2=53.0, K=0.4)
-    assert solve_sync_intermediate(p) == []
+    assert solve_sync(p) == []
 
 
 def test_degenerate_cosine_rejected():
     """Candidates where cos(Omega tau) = 0 cannot balance a nonzero
     detuning; the solver must not return them."""
     p = inter_problem(omega1=50.0, omega2=51.0, K=30.0)
-    for st in solve_sync_intermediate(p):
+    for st in solve_sync(p):
         assert abs(math.cos(st.Omega * p.tau)) > 1e-6
 
 
@@ -100,7 +99,7 @@ def test_solver_finds_all_brute_force_roots():
     vice versa."""
     p = inter_problem(omega1=50.0, omega2=51.0, K=30.0, tau=0.1)
     omega_max = max(4.0 * 50.5, 4.0 * math.pi / p.tau)
-    states = solve_sync_intermediate(p)
+    states = solve_sync(p)
     brute = brute_sync_roots(p.omega1, p.omega2, *p.gains(), p.tau, omega_max)
     assert brute
     for om, ph in brute:
@@ -117,7 +116,7 @@ def test_solver_finds_all_brute_force_roots():
 
 def test_small_buffer_reference_case_and_residuals():
     p = small_problem(omega1=60.0, omega2=61.0, K=1.5, B=15.0, b=5.0)
-    states = solve_sync_small(p)
+    states = solve_sync(p)
     assert states
     for st in states:
         rf, rp = back_substitute(p, st)
@@ -132,7 +131,7 @@ def test_small_buffer_large_coupling_approaches_pi_over_tau():
     target = math.pi / tau
     omegas = []
     for K in (5.0, 20.0, 80.0, 320.0):
-        states = solve_sync_small(small_problem(K=K, tau=tau))
+        states = solve_sync(small_problem(K=K, tau=tau))
         assert states
         best = min(states, key=lambda st: abs(st.Omega - target))
         omegas.append(best.Omega)
@@ -144,7 +143,7 @@ def test_small_buffer_large_coupling_approaches_pi_over_tau():
 def test_stability_tagging_small_buffer():
     """Stability carries the sign of (B/n_c - b/n_e) cos(Omega tau)."""
     p = small_problem(omega1=28.0, omega2=28.0, K=3.0, B=20.0, b=5.0, tau=0.1)
-    states = solve_sync_small(p)
+    states = solve_sync(p)
     for st in states:
         factor = p.K * (p.B / p.n_c - p.b / p.n_e) * math.cos(st.Omega * p.tau)
         assert st.stable == (factor < 0.0)
@@ -152,7 +151,7 @@ def test_stability_tagging_small_buffer():
 
 def test_marginal_when_buffer_ratios_match():
     p = small_problem(omega1=62.8, omega2=62.8, K=10.0, B=15.0, b=15.0)
-    states = solve_sync_small(p)
+    states = solve_sync(p)
     assert states
     assert all(st.marginal and not st.stable for st in states)
 
@@ -162,7 +161,7 @@ def test_phi0_magnitude_shrinks_with_coupling():
     shrinks as the coupling grows."""
     prev = None
     for K in (8.0, 16.0, 32.0, 64.0):
-        states = solve_sync_intermediate(inter_problem(omega1=50.0, omega2=51.0, K=K))
+        states = solve_sync(inter_problem(omega1=50.0, omega2=51.0, K=K))
         stable = [st for st in states if st.stable]
         assert stable
         st = min(stable, key=lambda s: abs(s.phi0))
@@ -184,10 +183,10 @@ def test_coupling_range_detuned_threshold():
     ks = np.linspace(0.05, 12.0, 60)
     k_c, k_u = coupling_range(p, ks)
     assert k_c is not None
-    assert solve_sync_intermediate(
+    assert solve_sync(
         SyncProblem(50.0, 53.0, k_c * 0.9, 0.1, INTERMEDIATE)
     ) == []
-    assert solve_sync_intermediate(
+    assert solve_sync(
         SyncProblem(50.0, 53.0, k_c * 1.1, 0.1, INTERMEDIATE)
     ) != []
 
@@ -201,7 +200,7 @@ def test_coupling_range_upper_edge_found():
     k_c, k_u = coupling_range(p, ks)
     assert k_c == 0.0
     assert k_u == pytest.approx(0.25)
-    states = solve_sync_small(
+    states = solve_sync(
         SyncProblem(22.0, 22.0, 0.25, 0.1, SMALL_BUFFER, B=10.0, b=12.0)
     )
     assert states and not any(st.stable for st in states)
@@ -236,7 +235,7 @@ def test_order_parameter_arrays():
 
 def test_select_state_prefers_smallest_stable():
     p = inter_problem(omega1=50.0, omega2=50.5, K=35.0)
-    states = solve_sync_intermediate(p)
+    states = solve_sync(p)
     sel = select_state(states)
     if sel is not None:
         assert sel.stable
