@@ -350,15 +350,16 @@ def cmd_simulate_fluid(cfg, outdir, fmt):
     summary = {
         "config": {**cfg, "network": resolved_net},
         "trace": trace_path,
-        "limit_cycle": _try_estimate(trace, channel),
+        "limit_cycle": _or_error(estimate_limit_cycle, trace, channel),
     }
     write_json(outdir / "summary.json", summary)
     return summary
 
 
-def _try_estimate(trace, channel):
+def _or_error(estimate, *args):
+    """A trace estimate, or {"error": ...} when the trace is too short for it."""
     try:
-        return estimate_limit_cycle(trace, channel)
+        return estimate(*args)
     except ValueError as exc:
         return {"error": str(exc)}
 
@@ -374,23 +375,26 @@ def cmd_simulate_phase(cfg, outdir, fmt):
             if isinstance(tau, (list, tuple))
             else (float(tau), float(tau))
         )
+        n_c = float(cfg.get("core_burstiness", 1.0))
+        n_e = float(cfg.get("edge_burstiness", 1.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad phase model parameters: {exc}") from exc
+    if not (tau1 > 0 and tau2 > 0):
+        raise ConfigError(f"tau_s must be positive, got {tau!r}")
+    if not (n_c >= 1 and n_e >= 1):
+        raise ConfigError(
+            f"core_burstiness and edge_burstiness must be >= 1, got {n_c:g} and {n_e:g}"
+        )
     if model == "small-equal":
         try:
-            params = phase_model_small_equal(
-                om1, om2, k, tau1, B=float(cfg["core_buffer_pkts"]),
-                b=float(cfg["edge_buffer_pkts"]),
-                n_c=float(cfg.get("core_burstiness", 1.0)),
-                n_e=float(cfg.get("edge_burstiness", 1.0)), tau2=tau2,
-            )
-        except KeyError as exc:
-            raise ConfigError(f"small-equal model needs {exc}") from exc
+            B, b = float(cfg["core_buffer_pkts"]), float(cfg["edge_buffer_pkts"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"small-equal model needs numeric core_buffer_pkts and edge_buffer_pkts: {exc}"
+            ) from exc
+        params = phase_model_small_equal(om1, om2, k, tau1, B=B, b=b, n_c=n_c, n_e=n_e, tau2=tau2)
         problem = SyncProblem(
-            om1, om2, k, 0.5 * (tau1 + tau2), SMALL_BUFFER,
-            B=float(cfg["core_buffer_pkts"]), b=float(cfg["edge_buffer_pkts"]),
-            n_c=float(cfg.get("core_burstiness", 1.0)),
-            n_e=float(cfg.get("edge_burstiness", 1.0)),
+            om1, om2, k, 0.5 * (tau1 + tau2), SMALL_BUFFER, B=B, b=b, n_c=n_c, n_e=n_e
         )
     elif model == "intermediate-equal":
         params = phase_model_intermediate_equal(om1, om2, k, tau1, tau2=tau2)
@@ -406,7 +410,7 @@ def cmd_simulate_phase(cfg, outdir, fmt):
     summary = {
         "config": cfg,
         "trace": trace_path,
-        "measured": measure_lock(trace, 1.0 - sim_cfg.transient_fraction),
+        "measured": _or_error(measure_lock, trace, 1.0 - sim_cfg.transient_fraction),
         "predicted_roots": [
             {"Omega_rad_per_s": st.Omega, "phi0_rad": st.phi0, "stable": st.stable}
             for st in states

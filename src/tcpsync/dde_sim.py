@@ -7,6 +7,13 @@ right-hand sides have kinks where loss terms switch on, so higher-order
 methods would buy nothing, and the constant step keeps every delayed lookup
 O(1).
 
+Delayed reads are made per block, as in the method of steps: with every
+delay at least m = min_i floor(tau_i / dt) steps, the next m steps read only
+samples already stored, so each variable's interpolated lag series for the
+block is computed in one numpy expression before the block is stepped.  The
+expression rounds exactly as a per-step read would, so block size never
+changes a trace.
+
 Systems covered, all with one delayed read per variable (variable i is read
 back at t - tau_i):
 
@@ -94,12 +101,42 @@ def _kick_tuple(kick, n_var):
     return vals
 
 
+def _heun_stages(n_var, dt, floor):
+    """Predictor y + dt*k1, corrector y + dt/2*(k1 + k2) and the floor test
+    (None without a floor) on state tuples, unrolled for the one- and
+    two-variable systems of this module."""
+    half = 0.5 * dt
+    if n_var == 1:
+        return (
+            lambda y, k: (y[0] + dt * k[0],),
+            lambda y, k1, k2: (y[0] + half * (k1[0] + k2[0]),),
+            None if floor is None else lambda y: y[0] <= floor,
+        )
+    if n_var == 2:
+        return (
+            lambda y, k: (y[0] + dt * k[0], y[1] + dt * k[1]),
+            lambda y, k1, k2: (y[0] + half * (k1[0] + k2[0]), y[1] + half * (k1[1] + k2[1])),
+            None if floor is None else lambda y: y[0] <= floor or y[1] <= floor,
+        )
+    rng = range(n_var)
+    return (
+        lambda y, k: tuple(y[i] + dt * k[i] for i in rng),
+        lambda y, k1, k2: tuple(y[i] + half * (k1[i] + k2[i]) for i in rng),
+        None if floor is None else lambda y: any(v <= floor for v in y),
+    )
+
+
 def integrate_dde(rhs, delays, history, horizon, dt, floor=None):
     """Heun integration of y_i' = rhs(t, y, ylag)_i with ylag_i = y_i(t - tau_i).
 
-    ``history`` is a callable t -> tuple for t <= 0.  Requires dt <= min(tau).
+    ``history`` is a callable t -> tuple for t <= 0.  Requires 0 < dt <= min(tau).
     Returns an array of shape (n_var, n_steps + 1) sampled on t = 0 .. horizon.
+    A variable at or below ``floor`` (when given) after a step aborts the run.
     """
+    if not dt > 0.0 or not all(tau > 0.0 for tau in delays):
+        raise SimulationError(
+            f"step dt={dt:g} and delays {list(delays)} must all be positive"
+        )
     n_var = len(delays)
     offs = [tau / dt for tau in delays]
     if min(offs) < 1.0:
@@ -111,45 +148,42 @@ def integrate_dde(rhs, delays, history, horizon, dt, floor=None):
     fracs = [off - j for off, j in zip(offs, joffs)]
     n_hist = max(joffs) + 2
     n_steps = int(round(horizon / dt))
-    cols = [[0.0] * (n_hist + 1 + n_steps) for _ in range(n_var)]
+    store = np.empty((n_hist + 1 + n_steps, n_var))
     for k in range(n_hist + 1):
         vals = history((k - n_hist) * dt)
-        for i in range(n_var):
-            cols[i][k] = float(vals[i])
+        store[k] = [float(vals[i]) for i in range(n_var)]
 
-    base = n_hist
-    idx_rng = range(n_var)
-    y = tuple(cols[i][base] for i in idx_rng)
-    half = 0.5 * dt
-    for n in range(n_steps):
-        t = n * dt
-        idx = base + n
-        lag1 = tuple(
-            cols[i][idx - joffs[i]]
-            if fracs[i] == 0.0
-            else cols[i][idx - joffs[i]] * (1.0 - fracs[i]) + cols[i][idx - joffs[i] - 1] * fracs[i]
-            for i in idx_rng
-        )
-        k1 = rhs(t, y, lag1)
-        pred = tuple(y[i] + dt * k1[i] for i in idx_rng)
-        lag2 = tuple(
-            cols[i][idx + 1 - joffs[i]]
-            if fracs[i] == 0.0
-            else cols[i][idx + 1 - joffs[i]] * (1.0 - fracs[i]) + cols[i][idx - joffs[i]] * fracs[i]
-            for i in idx_rng
-        )
-        k2 = rhs(t + dt, pred, lag2)
-        y = tuple(y[i] + half * (k1[i] + k2[i]) for i in idx_rng)
-        if floor is not None:
-            for i in idx_rng:
-                if y[i] <= floor:
-                    raise SimulationError(
-                        f"variable {i} hit the positivity floor at t={t + dt:.6g}; "
-                        f"the step dt={dt:g} is too large for this trajectory"
-                    )
-        for i in idx_rng:
-            cols[i][idx + 1] = y[i]
-    return np.array([col[base:] for col in cols])
+    predict, correct, below = _heun_stages(n_var, dt, floor)
+    y = tuple(store[n_hist].tolist())
+    block = min(joffs)
+    for n0 in range(0, n_steps, block):
+        m = min(block, n_steps - n0)
+        # lags at t = (n0 .. n0 + m) * dt read only rows stored before n0
+        lags = []
+        for i in range(n_var):
+            lo = n_hist + n0 - joffs[i]
+            lag = store[lo : lo + m + 1, i]
+            if fracs[i] != 0.0:
+                lag = lag * (1.0 - fracs[i]) + store[lo - 1 : lo + m, i] * fracs[i]
+            lags.append(lag.tolist())
+        series = zip(*lags)
+        lag1 = next(series)
+        rows = []
+        for n, lag2 in enumerate(series, n0):
+            t = n * dt
+            k1 = rhs(t, y, lag1)
+            k2 = rhs(t + dt, predict(y, k1), lag2)
+            y = correct(y, k1, k2)
+            if below is not None and below(y):
+                i = next(i for i, v in enumerate(y) if v <= floor)
+                raise SimulationError(
+                    f"variable {i} hit the positivity floor at t={t + dt:.6g}; "
+                    f"the step dt={dt:g} is too large for this trajectory"
+                )
+            rows.append(y)
+            lag1 = lag2
+        store[n_hist + n0 + 1 : n_hist + n0 + 1 + m] = rows
+    return np.ascontiguousarray(store[n_hist:].T)
 
 
 def simulate_fluid_single(spec, regime, net, cfg):
@@ -369,9 +403,14 @@ def measure_lock(trace, tail_fraction=0.25):
     phase difference ``phi0`` (theta1 leading), mean order parameter
     ``r_mean``, the residual phase drift rate, and a ``locked`` verdict
     (drift below 1e-3 of Omega and phase-difference spread below 0.01 rad).
+    Raises ValueError when the window holds fewer than two samples.
     """
     tail = trace.tail(1.0 - tail_fraction)
     th1, th2 = tail["theta1"], tail["theta2"]
+    if len(th1) < 2:
+        raise ValueError(
+            f"lock window holds {len(th1)} sample(s); a frequency fit needs at least 2"
+        )
     dt = trace.dt
     phi = th1 - th2
     omega = fit_frequency(0.5 * (th1 + th2), dt)

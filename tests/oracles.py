@@ -3,13 +3,16 @@
 Everything here is deliberately written from first principles, separate from
 the package's own numerics: plain bisection, brute-force grid searches, an
 argument-principle root counter for delay characteristic functions, and
-symbolic differentiation.  Tests compare package results against these.
+symbolic differentiation, and the per-step Heun loop the DDE integrator is
+held bit-identical to.  Tests compare package results against these.
 """
 
 import cmath
 import math
 
 import numpy as np
+
+from tcpsync.errors import SimulationError
 
 
 def plain_bisect(f, lo, hi, iters=200):
@@ -186,3 +189,59 @@ def aimd_sawtooth_period(capacity, buffer_pkts, base_rtt):
         t += rtt
         w += 1.0
     return t, w_max
+
+
+def reference_heun_dde(rhs, delays, history, horizon, dt, floor=None):
+    """Per-step Heun loop with scalar delayed reads, the reference for
+    ``dde_sim.integrate_dde``: same arguments, same operations in the same
+    order, so the two agree bit for bit."""
+    n_var = len(delays)
+    offs = [tau / dt for tau in delays]
+    if min(offs) < 1.0:
+        raise SimulationError(
+            f"step dt={dt:g} exceeds the smallest delay {min(delays):g}; "
+            "delayed reads would need extrapolation"
+        )
+    joffs = [int(math.floor(off)) for off in offs]
+    fracs = [off - j for off, j in zip(offs, joffs)]
+    n_hist = max(joffs) + 2
+    n_steps = int(round(horizon / dt))
+    cols = [[0.0] * (n_hist + 1 + n_steps) for _ in range(n_var)]
+    for k in range(n_hist + 1):
+        vals = history((k - n_hist) * dt)
+        for i in range(n_var):
+            cols[i][k] = float(vals[i])
+
+    base = n_hist
+    idx_rng = range(n_var)
+    y = tuple(cols[i][base] for i in idx_rng)
+    half = 0.5 * dt
+    for n in range(n_steps):
+        t = n * dt
+        idx = base + n
+        lag1 = tuple(
+            cols[i][idx - joffs[i]]
+            if fracs[i] == 0.0
+            else cols[i][idx - joffs[i]] * (1.0 - fracs[i]) + cols[i][idx - joffs[i] - 1] * fracs[i]
+            for i in idx_rng
+        )
+        k1 = rhs(t, y, lag1)
+        pred = tuple(y[i] + dt * k1[i] for i in idx_rng)
+        lag2 = tuple(
+            cols[i][idx + 1 - joffs[i]]
+            if fracs[i] == 0.0
+            else cols[i][idx + 1 - joffs[i]] * (1.0 - fracs[i]) + cols[i][idx - joffs[i]] * fracs[i]
+            for i in idx_rng
+        )
+        k2 = rhs(t + dt, pred, lag2)
+        y = tuple(y[i] + half * (k1[i] + k2[i]) for i in idx_rng)
+        if floor is not None:
+            for i in idx_rng:
+                if y[i] <= floor:
+                    raise SimulationError(
+                        f"variable {i} hit the positivity floor at t={t + dt:.6g}; "
+                        f"the step dt={dt:g} is too large for this trajectory"
+                    )
+        for i in idx_rng:
+            cols[i][idx + 1] = y[i]
+    return np.array([col[base:] for col in cols])

@@ -213,6 +213,43 @@ def test_cli_phase_simulation(tmp_path):
     assert any(r["stable"] for r in summary["predicted_roots"])
 
 
+def run_phase_config(tmp_path, **over):
+    cfg = {
+        "model": "small-equal",
+        "omega_rad_per_s": [50.0, 51.0],
+        "K_per_s": 30.0,
+        "tau_s": 0.1,
+        "core_buffer_pkts": 25.0,
+        "edge_buffer_pkts": 15.0,
+        "horizon_s": 1.0,
+    }
+    cfg.update(over)
+    path = tmp_path / "phase.json"
+    path.write_text(json.dumps(cfg))
+    return run_cli(["simulate-phase", "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("over", [
+    pytest.param({"tau_s": -0.1}, id="negative-tau"),
+    pytest.param({"tau_s": [0.1, 0.0]}, id="zero-tau2"),
+    pytest.param({"edge_burstiness": "abc"}, id="edge-burstiness-not-a-number"),
+    pytest.param({"core_burstiness": 0.5}, id="core-burstiness-below-1"),
+])
+def test_cli_phase_rejects_bad_delay_or_burstiness(tmp_path, over):
+    proc = run_phase_config(tmp_path, **over)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stderr)["error"]["type"] == "config"
+
+
+def test_cli_phase_horizon_shorter_than_a_step(tmp_path):
+    """A one-sample trace is written; the lock measurement reports an error."""
+    proc = run_phase_config(tmp_path, horizon_s=1e-6)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert "error" in summary["measured"]
+    assert summary["predicted_roots"]
+
+
 def test_cli_fluid_simulation(tmp_path):
     cfg = {
         "protocol": {"variant": "reno"},

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcpsync.dde_sim import (
     DdeConfig,
@@ -25,7 +27,7 @@ from tcpsync.signals import analytic_phase, fit_frequency, local_maxima
 from tcpsync.sync_solver import SyncProblem, order_parameter, solve_sync
 from tcpsync.trace import Trace
 
-from oracles import count_rhp_roots
+from oracles import count_rhp_roots, reference_heun_dde
 
 RENO = ProtocolSpec.reno()
 
@@ -280,10 +282,92 @@ def test_integrator_rejects_oversized_step():
         integrate_dde(lambda t, y, yl: (0.0,), [0.01], lambda t: (1.0,), 1.0, 0.02)
 
 
+@pytest.mark.parametrize("delays, dt", [
+    pytest.param([-0.1], -0.1 / 500, id="negative-delay"),
+    pytest.param([0.1, 0.0], 0.01, id="zero-delay"),
+    pytest.param([0.1], 0.0, id="zero-step"),
+    pytest.param([float("nan")], 0.01, id="nan-delay"),
+])
+def test_integrator_rejects_non_positive_step_or_delay(delays, dt):
+    n_var = len(delays)
+    with pytest.raises(SimulationError):
+        integrate_dde(lambda t, y, yl: (0.0,) * n_var, delays, lambda t: (1.0,) * n_var, 1.0, dt)
+
+
+def ring_rhs(n_var):
+    """Each variable relaxes and is driven by its neighbour's delayed value."""
+
+    def rhs(t, y, ylag):
+        return tuple(-0.8 * y[i] + math.sin(ylag[(i + 1) % n_var] + t) for i in range(n_var))
+
+    return rhs
+
+
+def run_both(rhs, delays, history, horizon, dt, floor=None):
+    """Outcomes of integrate_dde and the reference loop: array or error text."""
+    outcomes = []
+    for fn in (integrate_dde, reference_heun_dde):
+        try:
+            outcomes.append(fn(rhs, delays, history, horizon, dt, floor=floor))
+        except SimulationError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+@settings(max_examples=150)
+@given(
+    n_var=st.integers(1, 3),
+    dt=st.sampled_from([0.01, 0.37, 1e-3]),
+    offsets=st.lists(
+        st.one_of(st.integers(1, 9).map(float), st.floats(1.0, 9.0)), min_size=3, max_size=3
+    ),
+    n_steps=st.integers(0, 40),
+    off_grid=st.floats(0.0, 0.49),
+    y0=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    constant=st.booleans(),
+)
+def test_integrate_dde_matches_reference_loop(n_var, dt, offsets, n_steps, off_grid, y0,
+                                              constant):
+    """Bit-identical to the per-step loop for arities 1-3, integer, fractional
+    and unequal delays (dt == tau gives one-step blocks), horizons off the
+    block and step grids, empty runs, and constant or ramped histories."""
+    delays = [off * dt for off in offsets[:n_var]]
+    if constant:
+        history = lambda t: tuple(y0[:n_var])
+    else:
+        history = lambda t: tuple(v + (i + 1.5) * t for i, v in enumerate(y0[:n_var]))
+    got, want = run_both(ring_rhs(n_var), delays, history, (n_steps + off_grid) * dt, dt)
+    assert not isinstance(want, str), want
+    assert got.shape == want.shape == (n_var, n_steps + 1)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_var", [1, 2, 3])
+def test_integrate_dde_floor_abort_matches_reference(n_var):
+    """The last variable falls through the floor; a NaN in variable 0 does
+    not trip it, so the message names the last variable, as the loop does."""
+
+    def rhs(t, y, ylag):
+        head = (float("nan"),) if n_var > 1 else ()
+        return head + (0.0,) * (n_var - 2) + (-50.0 * ylag[-1],)
+
+    got, want = run_both(rhs, [0.02, 0.013, 0.01][:n_var], lambda t: (1.0,) * n_var, 1.0, 0.005,
+                         floor=0.1)
+    assert isinstance(want, str) and f"variable {n_var - 1} hit the positivity floor" in want
+    assert got == want
+
+
 def synthetic_trace(freqs, amps, dt=0.002, n=20000, names=("w1", "w2")):
     t = dt * np.arange(n)
     data = {nm: a * np.sin(f * t) for nm, f, a in zip(names, freqs, amps)}
     return Trace(0.0, dt, data, {"transient_fraction": 0.1})
+
+
+def test_measure_lock_rejects_window_without_two_samples():
+    tr = Trace(0.0, 0.01, {"theta1": np.zeros(1), "theta2": np.zeros(1)}, {})
+    with pytest.raises(ValueError, match="at least 2"):
+        measure_lock(tr)
 
 
 def test_estimate_limit_cycle_constant_series():
