@@ -12,22 +12,24 @@ preset             list or show built-in desk-scaled presets
 All physical quantities in configuration files carry units in their key
 names (``*_mbps``, ``*_pkts_per_s``, ``*_ms``, ``*_pkts``).  Reports embed
 the fully resolved configuration; re-running a command on that embedded
-configuration reproduces the report byte for byte.  Exit codes: 0 success,
-1 configuration error, 2 numerical failure; errors are emitted as JSON on
-stderr.
+configuration reproduces the report byte for byte.  Exit codes: 0 success;
+1 configuration error, which includes any non-finite number or malformed
+shape; 2 numerical failure.  Errors are emitted as JSON on stderr.
 """
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .dde_sim import (
     DdeConfig,
+    _kick_tuple,
     estimate_limit_cycle,
     measure_lock,
     phase_model_intermediate_equal,
@@ -51,110 +53,155 @@ NUMERICAL_ERRORS = (NoRootError, SimulationError, UnsupportedConfigError)
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()  # the matching Python scalar, or nested lists of them
     raise TypeError(f"not JSON serialisable: {type(obj)}")
-
-
-def write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, default=_jsonable)
-        fh.write("\n")
 
 
 def dump_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2, default=_jsonable)
 
 
+def write_json(path, obj):
+    with open(path, "w") as fh:
+        fh.write(dump_json(obj) + "\n")
+
+
 # --------------------------------------------------------------------------
 # configuration parsing
+#
+# Every command reads its fields through the helpers below and builds its
+# domain objects before computing anything; the range rules live in those
+# objects' constructors, which ``_checked`` turns into ConfigError.
+
+_REQUIRED = object()
+
+
+def _reject_constant(name):
+    raise ConfigError(f"config holds the non-finite number {name}")
 
 
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
+
+
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError/TypeError as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {make.__name__}: {exc}") from exc
+
+
+def _obj(d, key):
+    """``d[key]`` as a JSON object; {} when absent."""
+    value = d.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
+
+
+def _finite(value, name):
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
+def _num(d, key, default=_REQUIRED):
+    """``d[key]`` as a finite float; ``default`` when absent, if one is given."""
+    if key in d:
+        return _finite(d[key], key)
+    if default is _REQUIRED:
+        raise ConfigError(f"missing {key}")
+    return default
+
+
+def _int(d, key, default=_REQUIRED):
+    """``d[key]`` as an int; a float or numeric string must be whole."""
+    value = d.get(key)
+    x = value if isinstance(value, int) else _num(d, key, default)
+    if x != int(x):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(x)
+
+
+def _pair(d, key):
+    """A scalar or a two-element list as two finite floats."""
+    value = d.get(key)
+    if not isinstance(value, (list, tuple)):
+        x = _num(d, key)
+        return x, x
+    if len(value) != 2:
+        raise ConfigError(f"{key} must be a number or a two-element list, got {value!r}")
+    return _finite(value[0], key), _finite(value[1], key)
 
 
 def _parse_protocol(d):
     if not isinstance(d, dict) or "variant" not in d:
         raise ConfigError("protocol must be an object with a 'variant' field")
     fields = {k: v for k, v in d.items() if k != "variant"}
-    try:
-        return ProtocolSpec(d["variant"], **fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad protocol: {exc}") from exc
+    for key, value in fields.items():
+        # JSON numbers only, kept as given: reports echo the spec's fields
+        if isinstance(value, str):
+            raise ConfigError(f"protocol {key} must be a number, got {value!r}")
+        _finite(value, key)
+    return _checked(ProtocolSpec, d["variant"], **fields)
 
 
-def _parse_regime(s):
-    if s not in (SMALL_BUFFER, INTERMEDIATE):
-        raise ConfigError(
-            f"regime must be {SMALL_BUFFER!r} or {INTERMEDIATE!r}, got {s!r}"
-        )
-    return s
-
-
-def _rate(d, base, packet_bytes=1500, required=True):
+def _rate(d, base, required=True):
     """Read a rate given as either <base>_mbps or <base>_pkts_per_s."""
     mbps_key, pkts_key = f"{base}_mbps", f"{base}_pkts_per_s"
     if mbps_key in d and pkts_key in d:
         raise ConfigError(f"give {mbps_key} or {pkts_key}, not both")
     if pkts_key in d:
-        return float(d[pkts_key])
+        return _num(d, pkts_key)
     if mbps_key in d:
-        return mbps_to_pkts_per_s(float(d[mbps_key]), packet_bytes)
+        return mbps_to_pkts_per_s(_num(d, mbps_key))
     if required:
         raise ConfigError(f"missing {mbps_key} or {pkts_key}")
     return None
 
 
-def _parse_taus(d):
-    rtt = d.get("rtt_ms")
-    if rtt is None:
-        raise ConfigError("network needs rtt_ms (scalar or [rtt1, rtt2])")
-    if np.ndim(rtt) == 0:
-        rtt = [float(rtt), float(rtt)]
-    if len(rtt) != 2:
-        raise ConfigError("rtt_ms must be a scalar or a two-element list")
-    return ms_to_s(rtt[0]), ms_to_s(rtt[1])
-
-
-def _parse_network(d, packet_bytes=1500):
-    """Returns (NetworkParams at the mean rtt, tau1, tau2, resolved dict)."""
-    if not isinstance(d, dict):
-        raise ConfigError("network must be an object")
-    c_prime = _rate(d, "edge_capacity_per_flow", packet_bytes)
-    tau1, tau2 = _parse_taus(d)
-    tau_bar = 0.5 * (tau1 + tau2)
-    c_core = _rate(d, "core_capacity_per_flow", packet_bytes, required=False)
+def _parse_model(cfg):
+    """Protocol, regime, NetworkParams at the mean and at each set's rtt, resolved network."""
+    spec = _parse_protocol(cfg.get("protocol", {}))
+    regime = cfg.get("regime")
+    if regime not in (SMALL_BUFFER, INTERMEDIATE):
+        raise ConfigError(f"regime must be {SMALL_BUFFER!r} or {INTERMEDIATE!r}, got {regime!r}")
+    d = _obj(cfg, "network")
+    c_prime = _rate(d, "edge_capacity_per_flow")
+    tau1, tau2 = (ms_to_s(rtt) for rtt in _pair(d, "rtt_ms"))
+    c_core = _rate(d, "core_capacity_per_flow", required=False)
     if c_core is not None:
         c_tilde = 2.0 * c_core
     elif "core_capacity_factor" in d:
-        c_tilde = float(d["core_capacity_factor"]) * c_prime
+        c_tilde = _num(d, "core_capacity_factor") * c_prime
     else:
         c_tilde = None
-    try:
-        net = NetworkParams(
-            c_prime=c_prime,
-            tau=tau_bar,
-            b=float(d.get("edge_buffer_pkts", 0.0)),
-            C_tilde=c_tilde,
-            B=float(d["core_buffer_pkts"]) if "core_buffer_pkts" in d else None,
-            n_e=float(d.get("edge_burstiness", 1.0)),
-            n_c=float(d.get("core_burstiness", 1.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad network parameters: {exc}") from exc
+    fields = dict(
+        c_prime=c_prime,
+        b=_num(d, "edge_buffer_pkts", 0.0),
+        C_tilde=c_tilde,
+        B=_num(d, "core_buffer_pkts", None),
+        n_e=_num(d, "edge_burstiness", 1.0),
+        n_c=_num(d, "core_burstiness", 1.0),
+    )
+    net, net1, net2 = (
+        _checked(NetworkParams, tau=tau, **fields) for tau in (0.5 * (tau1 + tau2), tau1, tau2)
+    )
     resolved = {
         "edge_capacity_per_flow_pkts_per_s": net.c_prime,
         "rtt_ms": [tau1 * 1000.0, tau2 * 1000.0],
@@ -166,7 +213,7 @@ def _parse_network(d, packet_bytes=1500):
         resolved["core_capacity_per_flow_pkts_per_s"] = net.C_tilde / 2.0
     if net.B is not None:
         resolved["core_buffer_pkts"] = net.B
-    return net, tau1, tau2, resolved
+    return spec, regime, net, (net1, net2), resolved
 
 
 # --------------------------------------------------------------------------
@@ -174,14 +221,19 @@ def _parse_network(d, packet_bytes=1500):
 
 
 def cmd_analyze(cfg):
-    spec = _parse_protocol(cfg.get("protocol", {}))
-    regime = _parse_regime(cfg.get("regime"))
-    net, tau1, tau2, resolved_net = _parse_network(cfg.get("network", {}))
+    spec, regime, net, set_nets, resolved_net = _parse_model(cfg)
+    omega_max = _num(_obj(cfg, "sync"), "omega_max", None)
+    ks = None
+    if "coupling_sweep" in cfg:
+        sw = _obj(cfg, "coupling_sweep")
+        k_from, k_to, count = _num(sw, "from"), _num(sw, "to"), _int(sw, "count")
+        if count < 1 or min(k_from, k_to) < 0:
+            raise ConfigError("coupling_sweep needs count >= 1 and non-negative from and to")
+        ks = np.linspace(k_from, k_to, count)
 
     per_set = []
     omegas = []
-    for tau in (tau1, tau2):
-        net_m = replace(net, tau=tau)
+    for net_m in set_nets:
         eq = solve_single(spec, regime, net_m)
         summary = intrinsic_frequency(spec, regime, net_m, eq)
         if not summary.feasible or not summary.omega:
@@ -193,7 +245,7 @@ def cmd_analyze(cfg):
         omegas.append(summary.omega)
         per_set.append(
             {
-                "rtt_ms": tau * 1000.0,
+                "rtt_ms": net_m.tau * 1000.0,
                 "w_star_pkts": eq.w_star,
                 "p_edge": eq.p_edge_star,
                 "residual": eq.residual,
@@ -207,18 +259,15 @@ def cmd_analyze(cfg):
             "protocol": {"variant": spec.variant, **_protocol_fields(spec)},
             "regime": regime,
             "network": resolved_net,
+            **{key: cfg[key] for key in ("coupling_sweep", "sync") if key in cfg},
         },
         "per_set": per_set,
     }
-    if "coupling_sweep" in cfg:
-        report["config"]["coupling_sweep"] = cfg["coupling_sweep"]
-    if "sync" in cfg:
-        report["config"]["sync"] = cfg["sync"]
 
     if net.C_tilde is None or net.B is None:
         return report
 
-    eq1, eq2 = solve_coupled(spec, regime, net, tau1, tau2)
+    eq1, eq2 = solve_coupled(spec, regime, net, *(n.tau for n in set_nets))
     report["coupled_equilibrium"] = {
         "w_star_pkts": [eq1.w_star, eq2.w_star],
         "p_edge": [eq1.p_edge_star, eq2.p_edge_star],
@@ -234,7 +283,6 @@ def cmd_analyze(cfg):
         omegas[0], omegas[1], k, net.tau, regime,
         B=net.B, b=net.b, n_c=net.n_c, n_e=net.n_e,
     )
-    omega_max = cfg.get("sync", {}).get("omega_max")
     states = solve_sync(problem, omega_max=omega_max)
     report["sync"] = {
         "roots": [
@@ -250,40 +298,24 @@ def cmd_analyze(cfg):
             for st in states
         ],
     }
-    sel = select_state(states)
-    report["sync"]["selected"] = (
-        None
-        if sel is None
-        else {
-            "Omega_rad_per_s": sel.Omega,
-            "phi0_rad": sel.phi0,
-            "order_r": sel.order_r,
-        }
-    )
+    report["sync"]["selected"] = _brief(select_state(states))
     # the coherent branch: the stable root continued from the in-phase lock,
     # which is the state coherence sweeps chart (the stability criterion is
     # derived for this branch)
     stable = [st for st in states if st.stable]
     inphase = min(stable, key=lambda st: abs(st.phi0), default=None)
-    report["sync"]["selected_inphase"] = (
-        None
-        if inphase is None
-        else {
-            "Omega_rad_per_s": inphase.Omega,
-            "phi0_rad": inphase.phi0,
-            "order_r": inphase.order_r,
-        }
-    )
+    report["sync"]["selected_inphase"] = _brief(inphase)
 
-    if "coupling_sweep" in cfg:
-        sw = cfg["coupling_sweep"]
-        try:
-            ks = np.linspace(float(sw["from"]), float(sw["to"]), int(sw["count"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad coupling_sweep: {exc}") from exc
+    if ks is not None:
         k_c, k_u = coupling_range(problem, ks)
         report["coupling_range"] = {"K_c": k_c, "K_u": k_u}
     return report
+
+
+def _brief(state):
+    if state is None:
+        return None
+    return {"Omega_rad_per_s": state.Omega, "phi0_rad": state.phi0, "order_r": state.order_r}
 
 
 def _protocol_fields(spec):
@@ -300,6 +332,7 @@ def _protocol_fields(spec):
 
 
 def _write_trace(trace, outdir, name, fmt):
+    Path(outdir).mkdir(parents=True, exist_ok=True)
     fname = f"{name}.{fmt}"
     path = Path(outdir) / fname
     if fmt == "csv":
@@ -312,47 +345,46 @@ def _write_trace(trace, outdir, name, fmt):
 
 
 def _dde_config(cfg):
-    try:
-        return DdeConfig(
-            horizon=float(cfg["horizon_s"]),
-            dt=float(cfg["dt_s"]) if "dt_s" in cfg else None,
-            kick=(
-                tuple(float(v) for v in cfg["kick"])
-                if isinstance(cfg.get("kick", 1.0), (list, tuple))
-                else float(cfg.get("kick", 1.0))
-            ),
-            transient_fraction=float(cfg.get("transient_fraction", 0.25)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad simulation settings: {exc}") from exc
+    kick = cfg.get("kick")
+    return _checked(
+        DdeConfig,
+        horizon=_num(cfg, "horizon_s"),
+        dt=_num(cfg, "dt_s", None),
+        kick=(
+            tuple(_finite(v, "kick") for v in kick)
+            if isinstance(kick, (list, tuple))
+            else _num(cfg, "kick", 1.0)
+        ),
+        transient_fraction=_num(cfg, "transient_fraction", 0.25),
+    )
+
+
+FLUID_CHANNELS = {"single": "w", "linearized": "dw", "coupled": "w1"}
 
 
 def cmd_simulate_fluid(cfg, outdir, fmt):
-    spec = _parse_protocol(cfg.get("protocol", {}))
-    regime = _parse_regime(cfg.get("regime"))
-    net, tau1, tau2, resolved_net = _parse_network(cfg.get("network", {}))
+    spec, regime, net, (net1, net2), resolved_net = _parse_model(cfg)
     model = cfg.get("model", "single")
-    sim_cfg = _dde_config(cfg)
-    if model == "single":
-        trace = simulate_fluid_single(spec, regime, replace(net, tau=tau1), sim_cfg)
-        channel = "w"
-    elif model == "linearized":
-        trace = simulate_fluid_linearized(spec, regime, replace(net, tau=tau1), sim_cfg)
-        channel = "dw"
-    elif model == "coupled":
-        trace = simulate_fluid_coupled(spec, regime, net, tau1, tau2, sim_cfg)
-        channel = "w1"
-    else:
+    if not isinstance(model, str) or model not in FLUID_CHANNELS:
         raise ConfigError(f"unknown fluid model {model!r}")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    sim_cfg = _dde_config(cfg)
+    if model == "coupled":
+        _checked(net.require_core)
+    _checked(_kick_tuple, sim_cfg.kick, 2 if model == "coupled" else 1)
+
+    if model == "single":
+        trace = simulate_fluid_single(spec, regime, net1, sim_cfg)
+    elif model == "linearized":
+        trace = simulate_fluid_linearized(spec, regime, net1, sim_cfg)
+    else:
+        trace = simulate_fluid_coupled(spec, regime, net, net1.tau, net2.tau, sim_cfg)
     trace_path = _write_trace(trace, outdir, f"fluid-{model}", fmt)
     summary = {
         "config": {**cfg, "network": resolved_net},
         "trace": trace_path,
-        "limit_cycle": _or_error(estimate_limit_cycle, trace, channel),
+        "limit_cycle": _or_error(estimate_limit_cycle, trace, FLUID_CHANNELS[model]),
     }
-    write_json(outdir / "summary.json", summary)
+    write_json(Path(outdir) / "summary.json", summary)
     return summary
 
 
@@ -366,45 +398,23 @@ def _or_error(estimate, *args):
 
 def cmd_simulate_phase(cfg, outdir, fmt):
     model = cfg.get("model")
-    try:
-        om1, om2 = (float(v) for v in cfg["omega_rad_per_s"])
-        k = float(cfg["K_per_s"])
-        tau = cfg["tau_s"]
-        tau1, tau2 = (
-            (float(tau[0]), float(tau[1]))
-            if isinstance(tau, (list, tuple))
-            else (float(tau), float(tau))
-        )
-        n_c = float(cfg.get("core_burstiness", 1.0))
-        n_e = float(cfg.get("edge_burstiness", 1.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad phase model parameters: {exc}") from exc
-    if not (tau1 > 0 and tau2 > 0):
-        raise ConfigError(f"tau_s must be positive, got {tau!r}")
-    if not (n_c >= 1 and n_e >= 1):
-        raise ConfigError(
-            f"core_burstiness and edge_burstiness must be >= 1, got {n_c:g} and {n_e:g}"
-        )
+    om1, om2 = _pair(cfg, "omega_rad_per_s")
+    k = _num(cfg, "K_per_s")
+    tau1, tau2 = _pair(cfg, "tau_s")
+    tau = 0.5 * (tau1 + tau2)
     if model == "small-equal":
-        try:
-            B, b = float(cfg["core_buffer_pkts"]), float(cfg["edge_buffer_pkts"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"small-equal model needs numeric core_buffer_pkts and edge_buffer_pkts: {exc}"
-            ) from exc
-        params = phase_model_small_equal(om1, om2, k, tau1, B=B, b=b, n_c=n_c, n_e=n_e, tau2=tau2)
-        problem = SyncProblem(
-            om1, om2, k, 0.5 * (tau1 + tau2), SMALL_BUFFER, B=B, b=b, n_c=n_c, n_e=n_e
-        )
+        B, b = _num(cfg, "core_buffer_pkts"), _num(cfg, "edge_buffer_pkts")
+        n_c, n_e = _num(cfg, "core_burstiness", 1.0), _num(cfg, "edge_burstiness", 1.0)
+        problem = _checked(SyncProblem, om1, om2, k, tau, SMALL_BUFFER, B=B, b=b, n_c=n_c, n_e=n_e)
+        params = _checked(phase_model_small_equal, om1, om2, k, tau1,
+                          B=B, b=b, n_c=n_c, n_e=n_e, tau2=tau2)
     elif model == "intermediate-equal":
-        params = phase_model_intermediate_equal(om1, om2, k, tau1, tau2=tau2)
-        problem = SyncProblem(om1, om2, k, 0.5 * (tau1 + tau2), INTERMEDIATE)
+        problem = _checked(SyncProblem, om1, om2, k, tau, INTERMEDIATE)
+        params = _checked(phase_model_intermediate_equal, om1, om2, k, tau1, tau2=tau2)
     else:
         raise ConfigError(f"unknown phase model {model!r}")
     sim_cfg = _dde_config(cfg)
     trace = simulate_phase_oscillators(params, sim_cfg)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     trace_path = _write_trace(trace, outdir, f"phase-{model}", fmt)
     states = solve_sync(problem)
     summary = {
@@ -416,52 +426,59 @@ def cmd_simulate_phase(cfg, outdir, fmt):
             for st in states
         ],
     }
-    write_json(outdir / "summary.json", summary)
+    write_json(Path(outdir) / "summary.json", summary)
     return summary
 
 
+def _flow_group(g, to_pkts):
+    if not isinstance(g, dict):
+        raise ConfigError(f"a flow group must be an object, got {g!r}")
+    edge = g.get("edge")
+    if edge is not None:
+        edge = _int(g, "edge")
+        if edge not in (0, 1):
+            raise ConfigError(f"edge must be null, 0 or 1, got {g['edge']!r}")
+    return _checked(
+        FlowGroup,
+        count=_int(g, "count"),
+        protocol=_parse_protocol(g.get("protocol")),
+        rtt=ms_to_s(_num(g, "rtt_ms")),
+        edge=edge,
+        access_rate=to_pkts(_num(g, "access_mbps", 2.0)),
+    )
+
+
 def _build_scenario(cfg, seed_override=None):
-    topo_cfg = cfg.get("topology", {})
-    packet_bytes = int(topo_cfg.get("packet_bytes", 1500))
-    groups = []
-    try:
-        for g in cfg["groups"]:
-            groups.append(
-                FlowGroup(
-                    count=int(g["count"]),
-                    protocol=_parse_protocol(g["protocol"]),
-                    rtt=ms_to_s(g["rtt_ms"]),
-                    edge=g.get("edge"),
-                    access_rate=mbps_to_pkts_per_s(g.get("access_mbps", 2.0), packet_bytes),
-                )
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad flow group: {exc}") from exc
-    try:
-        edges = topo_cfg["edge_capacity_mbps"]
-        topo = Topology(
-            edge_capacity=tuple(mbps_to_pkts_per_s(v, packet_bytes) for v in edges),
-            core_capacity=mbps_to_pkts_per_s(topo_cfg["core_capacity_mbps"], packet_bytes),
-            edge_buffer=tuple(float(v) for v in topo_cfg["edge_buffer_pkts"]),
-            core_buffer=float(topo_cfg["core_buffer_pkts"]),
-            packet_bytes=packet_bytes,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad topology: {exc}") from exc
-    duration = float(cfg.get("duration_s", 60.0))
-    seed = int(cfg.get("seed", 0)) if seed_override is None else int(seed_override)
-    sample_dt = ms_to_s(cfg.get("sample_dt_ms", 20.0))
+    topo_cfg = _obj(cfg, "topology")
+    packet_bytes = _int(topo_cfg, "packet_bytes", 1500)
+    to_pkts = partial(_checked, mbps_to_pkts_per_s, packet_bytes=packet_bytes)
+    groups = cfg.get("groups")
+    if not isinstance(groups, list) or not groups:
+        raise ConfigError("groups must be a non-empty list of flow groups")
+    groups = [_flow_group(g, to_pkts) for g in groups]
+    topo = _checked(
+        Topology,
+        edge_capacity=tuple(to_pkts(v) for v in _pair(topo_cfg, "edge_capacity_mbps")),
+        core_capacity=to_pkts(_num(topo_cfg, "core_capacity_mbps")),
+        edge_buffer=_pair(topo_cfg, "edge_buffer_pkts"),
+        core_buffer=_num(topo_cfg, "core_buffer_pkts"),
+        packet_bytes=packet_bytes,
+    )
+    duration = _num(cfg, "duration_s", 60.0)
+    seed = _int(cfg, "seed", 0) if seed_override is None else int(seed_override)
+    sample_dt = ms_to_s(_num(cfg, "sample_dt_ms", 20.0))
+    if not (duration > 0 and sample_dt > 0 and seed >= 0):
+        raise ConfigError("duration_s and sample_dt_ms must be positive and seed non-negative")
     return topo, groups, duration, seed, sample_dt
 
 
 def cmd_simulate_packets(cfg, outdir, fmt, seed_override=None):
     topo, groups, duration, seed, sample_dt = _build_scenario(cfg, seed_override)
     result = run_scenario(topo, groups, duration, seed=seed, sample_dt=sample_dt)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for name, trace in {**result.queue_traces, **result.window_traces}.items():
-        paths[name] = _write_trace(trace, outdir, name, fmt)
+    paths = {
+        name: _write_trace(trace, outdir, name, fmt)
+        for name, trace in {**result.queue_traces, **result.window_traces}.items()
+    }
     edge_groups = [g for g in groups if g.edge is not None]
     rtt_mean = (
         float(np.mean([g.rtt for g in edge_groups])) if edge_groups else duration
@@ -478,7 +495,7 @@ def cmd_simulate_packets(cfg, outdir, fmt, seed_override=None):
         "served": result.counters["served"],
         "core_oscillation": osc,
     }
-    write_json(outdir / "summary.json", summary)
+    write_json(Path(outdir) / "summary.json", summary)
     return summary
 
 
@@ -491,6 +508,8 @@ def _set_by_path(cfg, path, value):
     node = cfg
     for k in keys[:-1]:
         node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"param_path {path!r} runs through {k!r}, which is not an object")
     node[keys[-1]] = value
 
 
@@ -504,18 +523,15 @@ def _sweep_point(args):
     except NUMERICAL_ERRORS as exc:
         row["error"] = str(exc)
         return row
-    row["w_star1"] = rep["per_set"][0]["w_star_pkts"]
-    row["w_star2"] = rep["per_set"][1]["w_star_pkts"]
-    row["omega1"] = rep["per_set"][0]["omega_rad_per_s"]
-    row["omega2"] = rep["per_set"][1]["omega_rad_per_s"]
+    set1, set2 = rep["per_set"]
+    row.update(w_star1=set1["w_star_pkts"], w_star2=set2["w_star_pkts"],
+               omega1=set1["omega_rad_per_s"], omega2=set2["omega_rad_per_s"])
     if "coupling" in rep:
         row["K"] = rep["coupling"]["K_per_s"]
         row["p_core"] = rep["coupled_equilibrium"]["p_core"]
     sel = rep.get("sync", {}).get("selected_inphase")
     if sel:
-        row["Omega"] = sel["Omega_rad_per_s"]
-        row["phi0"] = sel["phi0_rad"]
-        row["order_r"] = sel["order_r"]
+        row.update(Omega=sel["Omega_rad_per_s"], phi0=sel["phi0_rad"], order_r=sel["order_r"])
     return row
 
 
@@ -526,13 +542,12 @@ SWEEP_COLUMNS = [
 
 
 def cmd_sweep(cfg, outdir, workers=1):
-    try:
-        base = cfg["base"]
-        path = cfg["param_path"]
-        values = [float(v) for v in cfg["values"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sweep config: {exc}") from exc
+    base, path, values = cfg.get("base"), cfg.get("param_path"), cfg.get("values")
+    if not (isinstance(base, dict) and isinstance(path, str) and isinstance(values, list)):
+        raise ConfigError("sweep config needs a 'base' object, a 'param_path' string and a 'values' list")
+    values = [_finite(v, "values") for v in values]
     base_json = json.dumps(base, sort_keys=True)
+    _set_by_path(json.loads(base_json), path, 0.0)  # a bad path fails before any point runs
     jobs = [(base_json, path, v) for v in values]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -568,9 +583,8 @@ def build_parser():
     parser = _Parser(prog="tcpsync", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=False, help="JSON configuration file")
+    def common(p):
+        p.add_argument("--config", required=False, help="JSON configuration file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -603,12 +617,7 @@ def _dispatch(args):
         if args.action == "list":
             print("\n".join(preset_names()))
         else:
-            if not args.name:
-                raise ConfigError("preset show needs a name")
-            try:
-                print(dump_json(get_preset(args.name)))
-            except KeyError as exc:
-                raise ConfigError(str(exc)) from exc
+            print(dump_json(get_preset(args.name)))
         return
 
     if args.command == "analyze":
@@ -631,10 +640,7 @@ def _dispatch(args):
         if args.preset and args.config:
             raise ConfigError("give --preset or --config, not both")
         if args.preset:
-            try:
-                preset = get_preset(args.preset)
-            except KeyError as exc:
-                raise ConfigError(str(exc)) from exc
+            preset = get_preset(args.preset)
             if preset.get("kind") == "sweep":
                 raise ConfigError(
                     f"preset {args.preset!r} is an analysis sweep; run it with "
@@ -653,16 +659,12 @@ def _dispatch(args):
                     cfg, Path(args.out) / name, args.format, seed_override=args.seed
                 )
         else:
-            cfg = _require_config(args)
-            cmd_simulate_packets(cfg, args.out, args.format, seed_override=args.seed)
+            cmd_simulate_packets(_require_config(args), args.out, args.format, seed_override=args.seed)
         return
 
     if args.command == "sweep":
-        cfg = _require_config(args)
-        if cfg.get("kind") == "sweep" or "base" in cfg:
-            cmd_sweep(cfg, args.out, workers=args.workers)
-            return
-        raise ConfigError("sweep config needs 'base', 'param_path' and 'values'")
+        cmd_sweep(_require_config(args), args.out, workers=args.workers)
+        return
 
     raise ConfigError(f"unknown command {args.command!r}")
 
@@ -670,17 +672,14 @@ def _dispatch(args):
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _dispatch(args)
+        _dispatch(parser.parse_args(argv))
         return 0
     except ConfigError as exc:
-        sys.stderr.write(dump_json({"error": {"type": "config", "message": str(exc)}}) + "\n")
-        return 1
+        code, error = 1, {"type": "config", "message": str(exc)}
     except NUMERICAL_ERRORS as exc:
-        sys.stderr.write(
-            dump_json({"error": {"type": "numerical", "message": str(exc)}}) + "\n"
-        )
-        return 2
+        code, error = 2, {"type": "numerical", "message": str(exc)}
+    sys.stderr.write(dump_json({"error": error}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -307,6 +307,10 @@ class PhaseParams:
     tau: tuple
     coupling: tuple  # 2x2, row-major
 
+    def __post_init__(self):
+        if not all(t > 0 for t in self.tau):
+            raise ValueError(f"delays must be positive, got {self.tau}")
+
     def as_meta(self):
         return {
             "model": self.model,

@@ -166,28 +166,6 @@ def _on_loss(flow):
         flow.cwnd = max(flow.cwnd / 2.0, 1.0)
 
 
-def compound_window_update(flow, event):
-    """Apply one ack or loss event to a Compound flow state."""
-    if flow.variant != COMPOUND:
-        raise ValueError("flow is not Compound")
-    _on_ack(flow) if event == "ack" else _on_loss(flow)
-    return flow
-
-
-def reno_window_update(flow, event):
-    if flow.variant != RENO:
-        raise ValueError("flow is not Reno")
-    _on_ack(flow) if event == "ack" else _on_loss(flow)
-    return flow
-
-
-def illinois_window_update(flow, event):
-    if flow.variant != ILLINOIS:
-        raise ValueError("flow is not Illinois")
-    _on_ack(flow) if event == "ack" else _on_loss(flow)
-    return flow
-
-
 class _Router:
     __slots__ = ("name", "rate", "buffer", "queue", "count", "busy",
                  "drops", "served", "busy_time")

@@ -11,6 +11,7 @@ conventional 250 ms dimensioning value.
 
 import math
 
+from .errors import ConfigError
 from .units import mbps_to_pkts_per_s
 
 DESK_SCALE = 6.0
@@ -128,5 +129,5 @@ def preset_names():
 
 def get_preset(name):
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
+        raise ConfigError(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
     return PRESETS[name]

@@ -11,13 +11,28 @@ peak bin.
 import math
 
 import numpy as np
-from scipy.signal import hilbert
+
+
+def analytic_signal(x):
+    """x + j H[x] by FFT (Marple, IEEE TSP 47(9), 1999): the one-sided
+    spectrum keeps DC (and Nyquist for even length) once and doubles the
+    positive bins.  This is the algorithm of ``scipy.signal.hilbert``; the
+    bits match it up to the sign of an exact zero."""
+    x = np.asarray(x, dtype=float)
+    half = np.fft.rfft(x)
+    mask = np.full(len(half), 2.0)
+    mask[0] = 1.0
+    if len(x) % 2 == 0:
+        mask[-1] = 1.0
+    spec = np.zeros(len(x), dtype=complex)
+    spec[: len(half)] = half * mask
+    return np.fft.ifft(spec)
 
 
 def analytic_phase(x, dt):
     """Unwrapped instantaneous phase of the mean-removed analytic signal."""
     x = np.asarray(x, dtype=float)
-    return np.unwrap(np.angle(hilbert(x - x.mean())))
+    return np.unwrap(np.angle(analytic_signal(x - x.mean())))
 
 
 def fit_frequency(phase, dt):

@@ -67,6 +67,10 @@ class SyncProblem:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown buffer regime {self.regime!r}")
+        if not self.K >= 0:
+            raise ValueError("coupling strength must be non-negative")
+        if not (self.n_c >= 1 and self.n_e >= 1):
+            raise ValueError("core and edge burstiness must be >= 1")
 
     def gains(self):
         """(D, S): net self-interaction and cross-interaction gains."""
@@ -240,8 +244,6 @@ def _scan_roots(problem, omega_max, n_grid):
 
 def solve_sync(problem, omega_max=None, n_grid=SCAN_POINTS):
     """All locked states of the oscillator pair, sorted by Omega."""
-    if problem.K < 0:
-        raise ValueError("coupling strength must be non-negative")
     omega_bar = 0.5 * (problem.omega1 + problem.omega2)
     if omega_max is None:
         omega_max = max(4.0 * omega_bar, 4.0 * math.pi / problem.tau)

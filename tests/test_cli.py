@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tcpsync.cli import cmd_analyze, cmd_simulate_packets, cmd_sweep
+from tcpsync.cli import cmd_analyze, cmd_simulate_packets, cmd_sweep, main
 from tcpsync.presets import get_preset, preset_names
 from tcpsync.units import mbps_to_pkts_per_s
 
@@ -213,32 +220,171 @@ def test_cli_phase_simulation(tmp_path):
     assert any(r["stable"] for r in summary["predicted_roots"])
 
 
+PHASE_CONFIG = {
+    "model": "small-equal",
+    "omega_rad_per_s": [50.0, 51.0],
+    "K_per_s": 30.0,
+    "tau_s": 0.1,
+    "core_buffer_pkts": 25.0,
+    "edge_buffer_pkts": 15.0,
+    "horizon_s": 1.0,
+}
+
+
 def run_phase_config(tmp_path, **over):
-    cfg = {
-        "model": "small-equal",
-        "omega_rad_per_s": [50.0, 51.0],
-        "K_per_s": 30.0,
-        "tau_s": 0.1,
-        "core_buffer_pkts": 25.0,
-        "edge_buffer_pkts": 15.0,
-        "horizon_s": 1.0,
-    }
-    cfg.update(over)
     path = tmp_path / "phase.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({**PHASE_CONFIG, **over}))
     return run_cli(["simulate-phase", "--config", str(path), "--out", str(tmp_path / "out")])
 
 
-@pytest.mark.parametrize("over", [
-    pytest.param({"tau_s": -0.1}, id="negative-tau"),
-    pytest.param({"tau_s": [0.1, 0.0]}, id="zero-tau2"),
-    pytest.param({"edge_burstiness": "abc"}, id="edge-burstiness-not-a-number"),
-    pytest.param({"core_burstiness": 0.5}, id="core-burstiness-below-1"),
+# the configuration of each command that the rejection table and the fuzz
+# property mutate; the README's analyze config and short runs of the others
+README_ANALYZE = {**analyze_config(), "coupling_sweep": {"from": 0.0, "to": 40.0, "count": 80}}
+FLUID_CONFIG = {
+    "protocol": {"variant": "reno"},
+    "regime": "small-buffer",
+    "model": "single",
+    "network": {
+        "edge_capacity_per_flow_pkts_per_s": 107.0,
+        "rtt_ms": 100.0,
+        "edge_buffer_pkts": 15.0,
+    },
+    "horizon_s": 2.0,
+    "kick": 1.05,
+}
+PACKET_CONFIG = {**get_preset("fig6-queues")["variants"]["buf15"], "duration_s": 0.5}
+SWEEP_CONFIG = {
+    "base": analyze_config(),
+    "param_path": "network.edge_capacity_per_flow_pkts_per_s",
+    "values": [300.0],
+}
+BASE_CONFIGS = {
+    "analyze": README_ANALYZE,
+    "simulate-phase": PHASE_CONFIG,
+    "simulate-fluid": FLUID_CONFIG,
+    "simulate-packets": PACKET_CONFIG,
+    "sweep": SWEEP_CONFIG,
+}
+DROP = object()
+
+
+def mutated(cfg, path, value):
+    """A deep copy of ``cfg`` with the entry at ``path`` replaced (or dropped)."""
+    if not path:
+        return value
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+def run_main(command, cfg, out):
+    """cli.main on ``cfg`` in-process: (exit code, stdout, stderr)."""
+    path = out / "input.json"
+    path.write_text(json.dumps(cfg))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([command, "--config", str(path), "--out", str(out / "run")])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def reject(name):
+    raise ValueError(f"non-finite number {name} in output")
+
+
+REJECTED = [
+    ("simulate-phase", ("tau_s",), -0.1, "negative-tau"),
+    ("simulate-phase", ("tau_s",), [0.1, 0.0], "zero-tau2"),
+    ("simulate-phase", ("edge_burstiness",), "abc", "edge-burstiness-not-a-number"),
+    ("simulate-phase", ("core_burstiness",), 0.5, "core-burstiness-below-1"),
+    ("simulate-phase", ("omega_rad_per_s",), [50.0, "nan"], "phase-omega-nan"),
+    ("simulate-phase", ("K_per_s",), "inf", "phase-coupling-infinite"),
+    ("analyze", ("network", "edge_capacity_per_flow_pkts_per_s"), "abc", "edge-capacity-not-a-number"),
+    ("analyze", ("network", "edge_capacity_per_flow_pkts_per_s"), None, "edge-capacity-null"),
+    ("analyze", ("network", "core_capacity_factor"), "x", "core-factor-not-a-number"),
+    ("analyze", ("network", "rtt_ms"), "abc", "rtt-not-a-number"),
+    ("analyze", ("network", "rtt_ms"), ["a", 1], "rtt-pair-not-numbers"),
+    ("analyze", ("network", "rtt_ms"), {}, "rtt-object"),
+    ("analyze", ("network", "rtt_ms"), [100, -5], "rtt-second-negative"),
+    ("analyze", (), [README_ANALYZE], "config-is-a-list"),
+    ("analyze", ("sync",), 3, "sync-not-an-object"),
+    ("analyze", ("sync",), {"omega_max": "x"}, "omega-max-not-a-number"),
+    ("analyze", ("coupling_sweep", "count"), 0, "coupling-sweep-count-zero"),
+    ("analyze", ("network", "edge_buffer_pkts"), "inf", "edge-buffer-infinite"),
+    ("analyze", ("coupling_sweep", "to"), "nan", "coupling-sweep-to-nan"),
+    ("simulate-fluid", ("model",), "coupled", "coupled-without-core"),
+    ("simulate-packets", ("duration_s",), "x", "duration-not-a-number"),
+    ("simulate-packets", ("duration_s",), -1, "duration-negative"),
+    ("simulate-packets", ("duration_s",), "nan", "duration-nan"),
+    ("simulate-packets", ("seed",), "x", "seed-not-a-number"),
+    ("simulate-packets", ("sample_dt_ms",), 0, "sample-dt-zero"),
+    ("simulate-packets", ("sample_dt_ms",), "x", "sample-dt-not-a-number"),
+    ("simulate-packets", ("topology", "packet_bytes"), "x", "packet-bytes-not-a-number"),
+    ("simulate-packets", ("groups", 0, "rtt_ms"), "nan", "group-rtt-nan"),
+    ("simulate-packets", ("groups", 0, "edge"), 5, "group-edge-out-of-range"),
+    ("simulate-packets", ("groups", 0, "edge"), "a", "group-edge-not-a-number"),
+    ("simulate-packets", ("topology", "edge_capacity_mbps"), [16.0], "one-edge-capacity"),
+    ("simulate-packets", ("topology", "core_buffer_pkts"), "nan", "core-buffer-nan"),
+    ("simulate-packets", ("groups",), [], "no-groups"),
+    ("sweep", ("param_path",), 3, "param-path-not-a-string"),
+    ("sweep", ("param_path",), "network.rtt_ms.x", "param-path-through-a-number"),
+    ("sweep", ("base",), [1], "base-not-an-object"),
+]
+
+
+@pytest.mark.parametrize("command, path, value", [
+    pytest.param(command, path, value, id=name) for command, path, value, name in REJECTED
 ])
-def test_cli_phase_rejects_bad_delay_or_burstiness(tmp_path, over):
-    proc = run_phase_config(tmp_path, **over)
-    assert proc.returncode == 1, proc.stderr
-    assert json.loads(proc.stderr)["error"]["type"] == "config"
+def test_cli_rejects_malformed_config(tmp_path, command, path, value):
+    """Each malformed field exits 1 with a JSON config error, no traceback."""
+    code, _, err = run_main(command, mutated(BASE_CONFIGS[command], path, value), tmp_path)
+    assert code == 1, err
+    assert json.loads(err)["error"]["type"] == "config"
+
+
+def config_paths(node, prefix=()):
+    """Every key path and list index path into a JSON config."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from config_paths(value, prefix + (key,))
+
+
+FUZZ_CASES = [
+    (command, path)
+    for command in ("analyze", "simulate-phase", "simulate-fluid", "simulate-packets")
+    for path in config_paths(BASE_CONFIGS[command])
+]
+FUZZ_MUTATIONS = [DROP, "abc", [], [1], {}, None, "nan", "inf", -1, 0]
+
+
+@settings(max_examples=300)
+@given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from(FUZZ_MUTATIONS))
+def test_cli_mutated_config_exits_cleanly(case, value):
+    """A one-field mutation of a working config either runs and writes strict
+    JSON (no NaN or Infinity) or exits 1 or 2 with a JSON error."""
+    command, path = case
+    # dropping duration_s falls back to a 60 s packet run, too long for a fuzz case
+    assume(not (path == ("duration_s",) and value is DROP))
+    if value is DROP and not isinstance(path[-1], str):
+        value = None  # list entries are replaced, not dropped
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        code, stdout, err = run_main(command, mutated(BASE_CONFIGS[command], path, value), out)
+        if code == 0:
+            if stdout:
+                json.loads(stdout, parse_constant=reject)
+            for f in (out / "run").glob("*.json"):
+                json.loads(f.read_text(), parse_constant=reject)
+        else:
+            assert code in (1, 2), err
+            assert json.loads(err)["error"]["type"] in ("config", "numerical")
 
 
 def test_cli_phase_horizon_shorter_than_a_step(tmp_path):

@@ -5,9 +5,8 @@ from tcpsync.packet_sim import (
     FlowGroup,
     Topology,
     _Flow,
-    compound_window_update,
-    illinois_window_update,
-    reno_window_update,
+    _on_ack,
+    _on_loss,
     run_scenario,
 )
 from tcpsync.protocols import ProtocolSpec
@@ -23,33 +22,33 @@ def make_flow(spec):
 def test_reno_window_update_reference_points():
     f = make_flow(ProtocolSpec.reno())
     f.cwnd = 10.0
-    reno_window_update(f, "ack")
+    _on_ack(f)
     assert f.window == pytest.approx(10.1)
     f.cwnd = 10.0
-    reno_window_update(f, "loss")
+    _on_loss(f)
     assert f.window == pytest.approx(5.0)
     f.cwnd = 1.0
-    reno_window_update(f, "loss")
+    _on_loss(f)
     assert f.window == 1.0  # floored
 
 
 def test_illinois_window_update_reference_points():
     f = make_flow(ProtocolSpec.illinois())
     f.cwnd = 10.0
-    illinois_window_update(f, "ack")
+    _on_ack(f)
     assert f.window == pytest.approx(11.0)
     f.cwnd = 16.0
-    illinois_window_update(f, "loss")
+    _on_loss(f)
     assert f.window == pytest.approx(14.0)
     f.cwnd = 1.0
-    illinois_window_update(f, "loss")
+    _on_loss(f)
     assert f.window == 1.0
 
 
 def test_compound_loss_branch_reference_point():
     f = make_flow(ProtocolSpec.compound())
     f.cwnd, f.dwnd = 12.0, 8.0  # w = 20
-    compound_window_update(f, "loss")
+    _on_loss(f)
     assert f.dwnd == pytest.approx(4.0)  # (20*0.5 - 12/2)+
     assert f.cwnd == pytest.approx(6.0)
 
@@ -63,14 +62,14 @@ def test_compound_underutilised_branch_aggregates_per_window():
     f.acks_in_round = 0
     f.round_size = 3
     dwnd0 = f.dwnd
-    compound_window_update(f, "ack")
-    compound_window_update(f, "ack")
+    _on_ack(f)
+    _on_ack(f)
     assert f.dwnd == dwnd0  # not yet a full window of acks
     # the round update runs after this ack's growth, so compute the expected
     # gain at the post-growth window
     w_at_update = f.cwnd + 1.0 / f.cwnd + f.dwnd
     gain_expected = max(0.125 * w_at_update**0.75 - 1.0, 0.0)
-    compound_window_update(f, "ack")
+    _on_ack(f)
     assert f.dwnd == pytest.approx(dwnd0 + gain_expected, rel=1e-12)
     assert f.round_size == int(f.window)
 
@@ -88,14 +87,8 @@ def test_compound_backlog_threshold_inclusive():
     f.acks_in_round = 0
     f.round_size = 1
     dwnd0 = f.dwnd
-    compound_window_update(f, "ack")
+    _on_ack(f)
     assert f.dwnd == pytest.approx(max(dwnd0 - spec.zeta * spec.gamma, 0.0), rel=1e-9)
-
-
-def test_wrong_variant_rejected():
-    f = make_flow(ProtocolSpec.reno())
-    with pytest.raises(ValueError):
-        compound_window_update(f, "ack")
 
 
 def single_queue_scenario(duration=60.0, seed=1):

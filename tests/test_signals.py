@@ -1,10 +1,16 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.signal import hilbert
 
 from tcpsync.signals import (
     analytic_phase,
+    analytic_signal,
     dominant_frequency,
     fit_frequency,
     local_maxima,
@@ -35,6 +41,21 @@ def test_analytic_phase_slope_recovers_frequency():
     # ignore the transform's edge artefacts
     k = len(ph) // 10
     assert fit_frequency(ph[k:-k], dt) == pytest.approx(52.0, rel=1e-3)
+
+
+@given(st.lists(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=300))
+def test_analytic_signal_matches_scipy_hilbert(x):
+    """The FFT analytic signal equals scipy.signal.hilbert value for value,
+    odd and even N: the same bits, up to the sign of an exact zero."""
+    x = np.array(x)
+    assert np.array_equal(analytic_signal(x), hilbert(x))
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, tcpsync.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_spectral_concentration_separates_tone_from_noise():
