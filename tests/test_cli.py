@@ -237,6 +237,18 @@ def run_phase_config(tmp_path, **over):
     return run_cli(["simulate-phase", "--config", str(path), "--out", str(tmp_path / "out")])
 
 
+@pytest.mark.parametrize("over", [
+    pytest.param({"tau_s": -0.1}, id="negative-tau"),
+    pytest.param({"tau_s": [0.1, 0.0]}, id="zero-tau2"),
+    pytest.param({"edge_burstiness": "abc"}, id="edge-burstiness-not-a-number"),
+    pytest.param({"core_burstiness": 0.5}, id="core-burstiness-below-1"),
+])
+def test_cli_phase_rejects_bad_delay_or_burstiness(tmp_path, over):
+    proc = run_phase_config(tmp_path, **over)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stderr)["error"]["type"] == "config"
+
+
 # the configuration of each command that the rejection table and the fuzz
 # property mutate; the README's analyze config and short runs of the others
 README_ANALYZE = {**analyze_config(), "coupling_sweep": {"from": 0.0, "to": 40.0, "count": 80}}
@@ -298,10 +310,6 @@ def reject(name):
 
 
 REJECTED = [
-    ("simulate-phase", ("tau_s",), -0.1, "negative-tau"),
-    ("simulate-phase", ("tau_s",), [0.1, 0.0], "zero-tau2"),
-    ("simulate-phase", ("edge_burstiness",), "abc", "edge-burstiness-not-a-number"),
-    ("simulate-phase", ("core_burstiness",), 0.5, "core-burstiness-below-1"),
     ("simulate-phase", ("omega_rad_per_s",), [50.0, "nan"], "phase-omega-nan"),
     ("simulate-phase", ("K_per_s",), "inf", "phase-coupling-infinite"),
     ("analyze", ("network", "edge_capacity_per_flow_pkts_per_s"), "abc", "edge-capacity-not-a-number"),
