@@ -27,12 +27,7 @@ from .linear_analysis import (
 from .loss_models import (
     INTERMEDIATE,
     SMALL_BUFFER,
-    LossResult,
     NetworkParams,
-    core_loss_intermediate,
-    core_loss_small,
-    edge_loss_intermediate,
-    edge_loss_small,
 )
 from .protocols import (
     COMPOUND,

@@ -20,6 +20,7 @@ shape; 2 numerical failure.  Errors are emitted as JSON on stderr.
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -673,7 +674,13 @@ def main(argv=None):
     parser = build_parser()
     try:
         _dispatch(parser.parse_args(argv))
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return 0
+    except BrokenPipeError:
+        # the reader left early (``tcpsync preset list | head -1``): send the
+        # rest of stdout to devnull, as in Python's signal docs, and fail quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         code, error = 1, {"type": "config", "message": str(exc)}
     except NUMERICAL_ERRORS as exc:

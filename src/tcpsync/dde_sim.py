@@ -36,7 +36,7 @@ import numpy as np
 from . import linear_analysis
 from .equilibrium import solve_coupled, solve_single
 from .errors import SimulationError
-from .loss_models import SMALL_BUFFER, core_loss, core_loss_fn, edge_loss, edge_loss_fn
+from .loss_models import SMALL_BUFFER, core_loss, core_loss_fn, edge_loss, edge_loss_fn, loss_at
 from .protocols import decrease_fn, increase_fn, window_laws
 from .signals import analytic_phase, dominant_frequency, fit_frequency
 from .sync_solver import order_parameter
@@ -204,7 +204,7 @@ def simulate_fluid_single(spec, regime, net, cfg):
 
     ys = integrate_dde(rhs, [net.tau], history, cfg.horizon, dt, floor=W_FLOOR)
     w = ys[0]
-    p = edge_loss(regime, w, net).p
+    p = loss_at(loss, w)
     meta = {
         "model": f"fluid-single-{regime}",
         "protocol": asdict(spec),
@@ -274,9 +274,9 @@ def simulate_fluid_coupled(spec, regime, net, tau1, tau2, cfg):
 
     ys = integrate_dde(rhs, [tau1, tau2], history, cfg.horizon, dt, floor=W_FLOOR)
     w1, w2 = ys
-    p1 = edge_loss(regime, w1, net, tau=tau1).p
-    p2 = edge_loss(regime, w2, net, tau=tau2).p
-    pc = core_loss(regime, w1, w2, net, tau1, tau2).p
+    p1 = loss_at(loss1, w1)
+    p2 = loss_at(loss2, w2)
+    pc = loss_at(core, w1 / tau1 + w2 / tau2)
     meta = {
         "model": f"fluid-coupled-{regime}",
         "protocol": asdict(spec),
@@ -345,10 +345,10 @@ def phase_model_small_general(spec, net, eq1, eq2, tau1, tau2, omega1, omega2,
     taus = (tau1, tau2)
     rs = (r1, r2)
     rate_sum = ws[0] / tau1 + ws[1] / tau2
-    p_core = core_loss(SMALL_BUFFER, ws[0], ws[1], net, tau1, tau2).p
+    p_core = core_loss(SMALL_BUFFER, ws[0], ws[1], net, tau1, tau2)
     rows = []
     for mdx in (0, 1):
-        p_edge = edge_loss(SMALL_BUFFER, ws[mdx], net, tau=taus[mdx]).p
+        p_edge = edge_loss(SMALL_BUFFER, ws[mdx], net, tau=taus[mdx])
         atten = increase_fn(spec, ws[mdx]) / (1.0 + p_edge / p_core)
         q = net.B * (ws[mdx] / taus[mdx]) / (net.n_c * rate_sum)
         row = [-atten * q * rs[i] / (taus[i] * rs[mdx]) for i in (0, 1)]

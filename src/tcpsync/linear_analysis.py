@@ -120,8 +120,8 @@ def coupling_strength(spec, regime, net, eq):
     net.require_core()
     i = increase_fn(spec, eq.w_star)
     if regime == SMALL_BUFFER:
-        p_edge = edge_loss(regime, eq.w_star, net).p
-        p_core = core_loss(regime, eq.w_star, eq.w_star, net).p
+        p_edge = edge_loss(regime, eq.w_star, net)
+        p_core = core_loss(regime, eq.w_star, eq.w_star, net)
         if p_core <= 0.0:
             raise UnsupportedConfigError(
                 "core loss is zero at the operating point; the sets are uncoupled"
@@ -224,9 +224,3 @@ def critical_delay(a, c):
         return None
     omega = crossing_frequency(a, c)
     return math.acos(-a / c) / omega
-
-
-def is_delay_stable(a, c, tau):
-    """Local stability of du/dt = -a u - c u(t-tau) for a >= 0."""
-    star = critical_delay(a, c)
-    return star is None or tau < star

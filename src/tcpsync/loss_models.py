@@ -18,27 +18,20 @@ rate of both sets in place of the single-set load.  Setting every
 burstiness parameter to 1 recovers the smooth-traffic forms exactly.
 
 The small-buffer power laws are unbounded above capacity, so values are
-clamped to [0, 1]; the ``clamped`` flag marks that the operating point left
-the model's validity range.  The array functions accept scalars or numpy
-arrays and feed trace channels and the :class:`LossResult` API.  Scalar
-callers (the equilibrium solvers and the delay-differential right-hand
-sides) use the plain-float closures from :func:`edge_loss_fn` and
-:func:`core_loss_fn` instead, which skip numpy's per-call overhead.
+clamped to [0, 1].  Each law is written once, as a plain-float closure
+(:func:`edge_loss_fn`, :func:`core_loss_fn`); :func:`edge_loss`,
+:func:`core_loss` and trace channels map that same closure over their
+input, so a trace's loss channel carries exactly the values the solvers
+and integrators used.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 SMALL_BUFFER = "small-buffer"
 INTERMEDIATE = "intermediate"
 REGIMES = (SMALL_BUFFER, INTERMEDIATE)
-
-
-class LossResult(NamedTuple):
-    p: float
-    clamped: bool
 
 
 @dataclass(frozen=True)
@@ -89,54 +82,6 @@ class NetworkParams:
             raise ValueError("operation needs core parameters (C_tilde, B)")
 
 
-def _clamp01(raw):
-    clamped = bool(np.any(raw > 1.0))
-    return np.minimum(raw, 1.0), clamped
-
-
-def edge_loss_small(w, c_prime, tau, b, n=1.0):
-    """Small-buffer edge loss (1/n)*(w/(c'tau))**(b/n), clamped to [0, 1]."""
-    load = np.asarray(w, dtype=float) / (c_prime * tau)
-    with np.errstate(over="ignore"):  # overflow lands in the clamp anyway
-        raw = load ** (b / n) / n
-    p, clamped = _clamp01(raw)
-    if np.ndim(w) == 0:
-        p = float(p)
-    return LossResult(p, clamped)
-
-
-def edge_loss_intermediate(w, c_prime, tau, n=1.0):
-    """Intermediate-buffer edge loss: excess-rate fraction, 0 below capacity."""
-    w = np.asarray(w, dtype=float)
-    cap = c_prime * tau
-    wn = np.maximum(w, cap) ** n
-    frac = np.where(w > cap, ((wn - cap**n) / wn) / n, 0.0)
-    if frac.ndim == 0:
-        frac = float(frac)
-    return LossResult(frac, False)
-
-
-def core_loss_small(w1, w2, tau1, tau2, C_tilde, B, n_c=1.0):
-    """Small-buffer core loss from the aggregate rate of both sets."""
-    agg = np.asarray(w1, dtype=float) / tau1 + np.asarray(w2, dtype=float) / tau2
-    with np.errstate(over="ignore"):
-        raw = (agg / C_tilde) ** (B / n_c) / n_c
-    p, clamped = _clamp01(raw)
-    if np.ndim(p) == 0:
-        p = float(p)
-    return LossResult(p, clamped)
-
-
-def core_loss_intermediate(w1, w2, tau1, tau2, C_tilde, n_c=1.0):
-    """Intermediate-buffer core loss: aggregate excess-rate fraction."""
-    agg = np.asarray(w1, dtype=float) / tau1 + np.asarray(w2, dtype=float) / tau2
-    aggn = np.maximum(agg, C_tilde) ** n_c
-    frac = np.where(agg > C_tilde, ((aggn - C_tilde**n_c) / aggn) / n_c, 0.0)
-    if frac.ndim == 0:
-        frac = float(frac)
-    return LossResult(frac, False)
-
-
 def _drop_tail_fn(regime, cap, buf, n):
     """Plain-float p(x) of a Drop-Tail queue serving ``cap`` at offered load
     ``x`` (same units as ``cap``), clamped to [0, 1]."""
@@ -148,7 +93,7 @@ def _drop_tail_fn(regime, cap, buf, n):
                 return 0.0
             try:
                 return min(1.0, (x / cap) ** exp / n)
-            except OverflowError:  # the array path overflows to inf and clamps
+            except OverflowError:  # far above capacity: the power leaves float range
                 return 1.0
 
         return p
@@ -158,7 +103,10 @@ def _drop_tail_fn(regime, cap, buf, n):
         def p(x):
             if not x > cap:
                 return 0.0
-            xn = x**n
+            try:
+                xn = x**n
+            except OverflowError:  # the same fraction, without forming x**n
+                return (1.0 - (cap / x) ** n) / n
             return ((xn - capn) / xn) / n
 
         return p
@@ -176,23 +124,27 @@ def core_loss_fn(regime, C_tilde, B, n_c):
     return _drop_tail_fn(regime, C_tilde, B, n_c)
 
 
+def loss_at(p, x):
+    """Loss closure ``p`` at ``x``: a float for a scalar, else an array of
+    ``p`` applied elementwise."""
+    if np.ndim(x) == 0:
+        return p(float(x))
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(p, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def edge_loss(regime, w, net, tau=None):
-    """Edge loss for ``regime`` using ``net``; ``tau`` overrides ``net.tau``."""
+    """Edge loss at window ``w`` for ``regime`` using ``net``; ``tau``
+    overrides ``net.tau``."""
     t = net.tau if tau is None else tau
-    if regime == SMALL_BUFFER:
-        return edge_loss_small(w, net.c_prime, t, net.b, net.n_e)
-    if regime == INTERMEDIATE:
-        return edge_loss_intermediate(w, net.c_prime, t, net.n_e)
-    raise ValueError(f"unknown buffer regime {regime!r}")
+    return loss_at(edge_loss_fn(regime, net.c_prime, t, net.b, net.n_e), w)
 
 
 def core_loss(regime, w1, w2, net, tau1=None, tau2=None):
-    """Core loss for ``regime`` using ``net``; taus default to ``net.tau``."""
+    """Core loss at the sets' windows ``w1``, ``w2`` for ``regime`` using
+    ``net``; taus default to ``net.tau``."""
     net.require_core()
     t1 = net.tau if tau1 is None else tau1
     t2 = net.tau if tau2 is None else tau2
-    if regime == SMALL_BUFFER:
-        return core_loss_small(w1, w2, t1, t2, net.C_tilde, net.B, net.n_c)
-    if regime == INTERMEDIATE:
-        return core_loss_intermediate(w1, w2, t1, t2, net.C_tilde, net.n_c)
-    raise ValueError(f"unknown buffer regime {regime!r}")
+    rate = np.asarray(w1, dtype=float) / t1 + np.asarray(w2, dtype=float) / t2
+    return loss_at(core_loss_fn(regime, net.C_tilde, net.B, net.n_c), rate)

@@ -68,28 +68,6 @@ def dominant_frequency(x, dt):
     return float(k * df)
 
 
-def spectral_concentration(x, dt, band=0.1):
-    """Fraction of (DC-free) power within +-band around the dominant peak.
-
-    A coherent oscillation concentrates its power in a narrow band; broadband
-    fluctuation spreads it out.  Returns 0 for flat input.
-    """
-    x = np.asarray(x, dtype=float)
-    x = x - x.mean()
-    if len(x) < 8 or not np.any(x):
-        return 0.0
-    win = np.hanning(len(x))
-    power = np.abs(np.fft.rfft(x * win)) ** 2
-    power[0] = 0.0
-    total = power.sum()
-    if total <= 0:
-        return 0.0
-    k = int(np.argmax(power))
-    half = max(1, int(round(band * k)))
-    lo, hi = max(1, k - half), min(len(power), k + half + 1)
-    return float(power[lo:hi].sum() / total)
-
-
 def bandpass(x, dt, w_lo, w_hi):
     """Zero-phase band-pass by FFT masking; band edges in rad/s."""
     x = np.asarray(x, dtype=float)
@@ -121,15 +99,6 @@ def autocorr_period(x, dt, w_lo, w_hi):
     else:
         k = int(peaks[np.argmax(seg[peaks])])
     return (lag_lo + k) * dt, float(seg[k])
-
-
-def moving_average(x, n):
-    """Centred moving average with window of n samples (n >= 1)."""
-    x = np.asarray(x, dtype=float)
-    if n <= 1:
-        return x.copy()
-    kernel = np.ones(n) / n
-    return np.convolve(x, kernel, mode="same")
 
 
 def local_maxima(x):

@@ -116,7 +116,7 @@ def test_criterion_2_equilibrium_residuals():
             assert abs(eq.residual) <= 1e-10
 
             def f(w):
-                return balance_residual(spec, w, edge_loss(regime, w, net).p)
+                return balance_residual(spec, w, edge_loss(regime, w, net))
 
             lo = net.bdp * (1 + 1e-9) if regime == INTERMEDIATE else 1e-6
             w_oracle = plain_bisect(f, lo, 10 * net.bdp)
@@ -128,13 +128,13 @@ def test_criterion_2_equilibrium_residuals():
             assert abs(e2.residual) <= 1e-10
 
             def system(ws):
-                pc = core_loss(regime, ws[0], ws[1], net, tau1, tau2).p
+                pc = core_loss(regime, ws[0], ws[1], net, tau1, tau2)
                 return [
                     balance_residual(
-                        spec, ws[0], edge_loss(regime, ws[0], net, tau=tau1).p + pc
+                        spec, ws[0], edge_loss(regime, ws[0], net, tau=tau1) + pc
                     ),
                     balance_residual(
-                        spec, ws[1], edge_loss(regime, ws[1], net, tau=tau2).p + pc
+                        spec, ws[1], edge_loss(regime, ws[1], net, tau=tau2) + pc
                     ),
                 ]
 

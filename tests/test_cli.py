@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -190,6 +191,21 @@ def test_preset_show_and_unknown(tmp_path):
     assert "variants" in shown
     proc = run_cli(["preset", "show", "no-such-preset"])
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_cli_closed_stdout_pipe_exits_quietly(unbuffered):
+    """A reader that leaves early (``tcpsync preset list | head -1``) gets
+    exit code 1 and nothing on stderr, whether stdout is buffered or not."""
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "tcpsync.cli", "preset", "list"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert b"Traceback" not in err
+    assert err == b""
 
 
 def test_sweep_parallel_matches_sequential(tmp_path):

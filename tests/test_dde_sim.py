@@ -21,7 +21,7 @@ from tcpsync.dde_sim import (
 from tcpsync.equilibrium import solve_single
 from tcpsync.errors import SimulationError
 from tcpsync.linear_analysis import coupling_strength, delay_coefficients, intrinsic_frequency
-from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER, NetworkParams
+from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER, NetworkParams, core_loss_fn, edge_loss_fn
 from tcpsync.protocols import ProtocolSpec
 from tcpsync.signals import analytic_phase, fit_frequency, local_maxima
 from tcpsync.sync_solver import SyncProblem, order_parameter, solve_sync
@@ -133,6 +133,28 @@ def coupled_net(fac=1.18, cp=110.0, b=15.0, B=25.0, taum=0.1005):
     e0 = solve_single(RENO, SMALL_BUFFER, NetworkParams(c_prime=cp, tau=taum, b=b))
     c_tilde = (2.0 * e0.w_star / taum) * fac
     return NetworkParams(c_prime=cp, tau=taum, b=b, C_tilde=c_tilde, B=B), e0
+
+
+def test_loss_channels_are_the_law_at_the_stored_windows():
+    """Every loss sample of a small-buffer trace is the scalar Drop-Tail law
+    that the integrator feeds back, at the stored window, bit for bit."""
+    net = NET_STABLE
+    tr = simulate_fluid_single(RENO, SMALL_BUFFER, net, DdeConfig(horizon=10.0, kick=1.05))
+    edge = edge_loss_fn(SMALL_BUFFER, net.c_prime, net.tau, net.b, net.n_e)
+    assert np.array_equal(tr.channel("p"), [edge(w) for w in tr.channel("w").tolist()])
+
+    tau1, tau2 = 0.1, 0.101
+    net, _ = coupled_net()
+    tr = simulate_fluid_coupled(
+        RENO, SMALL_BUFFER, net, tau1, tau2, DdeConfig(horizon=10.0, kick=(1.03, 0.98))
+    )
+    w1, w2 = tr.channel("w1").tolist(), tr.channel("w2").tolist()
+    for name, tau, ws in (("p1", tau1, w1), ("p2", tau2, w2)):
+        edge = edge_loss_fn(SMALL_BUFFER, net.c_prime, tau, net.b, net.n_e)
+        assert np.array_equal(tr.channel(name), [edge(w) for w in ws])
+    core = core_loss_fn(SMALL_BUFFER, net.C_tilde, net.B, net.n_c)
+    rates = [a / tau1 + b / tau2 for a, b in zip(w1, w2)]
+    assert np.array_equal(tr.channel("p_core"), [core(r) for r in rates])
 
 
 def test_coupled_symmetric_stays_symmetric():

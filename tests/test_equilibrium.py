@@ -78,7 +78,7 @@ def test_single_residual_and_oracle_agreement(spec, regime):
         assert 0.0 < eq.p_total < 1.0
 
         def f(w):
-            return balance_residual(spec, w, edge_loss(regime, w, net).p)
+            return balance_residual(spec, w, edge_loss(regime, w, net))
 
         lo = net.bdp * (1 + 1e-9) if regime == INTERMEDIATE else 1e-6
         w_oracle = plain_bisect(f, lo, 10 * net.bdp)
@@ -92,7 +92,7 @@ def test_single_residual_monotone_on_bracket(spec, regime):
     net = net_small(b=15)
     lo = net.bdp * (1 + 1e-6) if regime == INTERMEDIATE else 1e-3
     ws = np.linspace(lo, 10 * net.bdp, 400)
-    vals = [balance_residual(spec, w, edge_loss(regime, w, net).p) for w in ws]
+    vals = [balance_residual(spec, w, edge_loss(regime, w, net)) for w in ws]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -174,9 +174,9 @@ def test_coupled_residuals_and_independent_root(spec, regime, core_kw):
 
     def system(ws):
         w1, w2 = ws
-        pc = core_loss(regime, w1, w2, net, tau1, tau2).p
-        r1 = balance_residual(spec, w1, edge_loss(regime, w1, net, tau=tau1).p + pc)
-        r2 = balance_residual(spec, w2, edge_loss(regime, w2, net, tau=tau2).p + pc)
+        pc = core_loss(regime, w1, w2, net, tau1, tau2)
+        r1 = balance_residual(spec, w1, edge_loss(regime, w1, net, tau=tau1) + pc)
+        r2 = balance_residual(spec, w2, edge_loss(regime, w2, net, tau=tau2) + pc)
         return [r1, r2]
 
     sol = optimize.root(system, [e1.w_star * 1.07, e2.w_star * 0.93], tol=1e-13)
@@ -224,7 +224,7 @@ def test_coupled_property_over_analyze_box(spec, regime, c_prime, factor, rtt1, 
 
     w1 = solve_single(spec, regime, replace(net, tau=tau1)).w_star
     w2 = solve_single(spec, regime, replace(net, tau=tau2)).w_star
-    p0 = core_loss(regime, w1, w2, net, tau1, tau2).p
+    p0 = core_loss(regime, w1, w2, net, tau1, tau2)
     # solve_single brackets the intermediate regime differently, so its
     # windows (and p0) agree with the solver's own only to bisection tolerance
     assert 0.0 <= e1.p_core_star <= p0 * (1.0 + 1e-9)

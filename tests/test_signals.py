@@ -14,8 +14,6 @@ from tcpsync.signals import (
     dominant_frequency,
     fit_frequency,
     local_maxima,
-    moving_average,
-    spectral_concentration,
 )
 
 
@@ -58,19 +56,7 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_spectral_concentration_separates_tone_from_noise():
-    rng = np.random.default_rng(2)
-    dt = 0.01
-    t = dt * np.arange(8192)
-    tone = np.sin(12.0 * t)
-    noise = rng.standard_normal(len(t))
-    assert spectral_concentration(tone, dt) > 0.8
-    assert spectral_concentration(noise, dt) < 0.2
-
-
-def test_moving_average_and_local_maxima():
+def test_local_maxima():
     x = np.array([0.0, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0])
     idx = local_maxima(x)
     assert list(idx) == [1, 3, 5]
-    sm = moving_average(np.ones(10), 4)
-    assert np.allclose(sm[2:-2], 1.0)
