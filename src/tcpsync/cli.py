@@ -579,6 +579,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
+    def print_help(self, file=None):
+        # argparse's own print_help swallows a failed write; main must see a
+        # closed pipe, unbuffered stdout included
+        (file or sys.stdout).write(self.format_help())
+
 
 def build_parser():
     parser = _Parser(prog="tcpsync", description=__doc__)
@@ -673,8 +678,12 @@ def _dispatch(args):
 def main(argv=None):
     parser = build_parser()
     try:
-        _dispatch(parser.parse_args(argv))
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        try:
+            _dispatch(parser.parse_args(argv))
+        finally:
+            # a closed pipe shows here, not at interpreter exit; that holds
+            # too when argparse has printed --help and raised SystemExit
+            sys.stdout.flush()
         return 0
     except BrokenPipeError:
         # the reader left early (``tcpsync preset list | head -1``): send the

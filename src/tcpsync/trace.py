@@ -3,13 +3,16 @@
 A Trace holds one or more equally long sample arrays on the grid
 t0 + k*dt plus free-form metadata (model id, parameters, seed).  Writing is
 bit-reproducible: floats are serialised with shortest round-trip repr and
-JSON keys are sorted.
+JSON keys are sorted.  Both writers stream the samples in blocks of
+``_BLOCK_ROWS`` rows, so a long trace never sits in memory as one string.
 """
 
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+_BLOCK_ROWS = 8192  # rows formatted per write; bounds the strings held at once
 
 
 @dataclass
@@ -50,26 +53,37 @@ class Trace:
 
     def write_csv(self, path):
         names = sorted(self.data)
-        cols = [self.data[n] for n in names]
-        tvals = self.t
+        # t as floats even for integer t0 and dt, so every cell is a float repr
+        cols = [np.asarray(self.t, dtype=float)] + [self.data[n] for n in names]
         with open(path, "w", newline="") as fh:
             fh.write(",".join(["t"] + names) + "\n")
-            for k in range(len(self)):
-                row = [repr(float(tvals[k]))] + [repr(float(c[k])) for c in cols]
-                fh.write(",".join(row) + "\n")
-
-    def to_dict(self):
-        return {
-            "t0": self.t0,
-            "dt": self.dt,
-            "meta": self.meta,
-            "data": {name: [float(v) for v in arr] for name, arr in self.data.items()},
-        }
+            for lo in range(0, len(self), _BLOCK_ROWS):
+                cells = [map(repr, c[lo:lo + _BLOCK_ROWS].tolist()) for c in cols]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
     def write_json(self, path):
+        # json.dump(..., sort_keys=True, indent=1) of {"data", "dt", "meta",
+        # "t0"}, written with "data" first (it sorts first) and each channel
+        # streamed block by block; json's own encoder writes everything else
+        rest = json.dumps({"dt": self.dt, "meta": self.meta, "t0": self.t0},
+                          sort_keys=True, indent=1)
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write('{\n "data": {')
+            for i, name in enumerate(sorted(self.data)):
+                fh.write(("," if i else "") + "\n  " + json.dumps(name) + ": ")
+                arr = self.data[name]
+                if not len(arr):
+                    fh.write("[]")
+                    continue
+                for lo in range(0, len(arr), _BLOCK_ROWS):
+                    block = arr[lo:lo + _BLOCK_ROWS]
+                    # json.dumps spells non-finite samples NaN, Infinity, -Infinity
+                    spell = repr if np.isfinite(block).all() else json.dumps
+                    fh.write(("[" if lo == 0 else ",") + "\n   "
+                             + ",\n   ".join(map(spell, block.tolist())))
+                fh.write("\n  ]")
+            # rest is "{\n <sorted items at indent 1>\n}"; keep all but "{\n"
+            fh.write("\n },\n" + rest[2:] + "\n")
 
     @classmethod
     def from_json(cls, path):

@@ -19,10 +19,5 @@ def mbps_to_pkts_per_s(mbps, packet_bytes=DEFAULT_PACKET_BYTES):
     return float(rate)
 
 
-def pkts_per_s_to_mbps(pkts, packet_bytes=DEFAULT_PACKET_BYTES):
-    rate = Fraction(pkts) * Fraction(8 * packet_bytes) / Fraction(10**6)
-    return float(rate)
-
-
 def ms_to_s(ms):
     return float(ms) / 1000.0

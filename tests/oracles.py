@@ -2,12 +2,14 @@
 
 Everything here is deliberately written from first principles, separate from
 the package's own numerics: plain bisection, brute-force grid searches, an
-argument-principle root counter for delay characteristic functions, and
-symbolic differentiation, and the per-step Heun loop the DDE integrator is
-held bit-identical to.  Tests compare package results against these.
+argument-principle root counter for delay characteristic functions,
+symbolic differentiation, the per-step Heun loop the DDE integrator is
+held bit-identical to, and the one-row-at-a-time trace writers the streamed
+ones are held byte-identical to.  Tests compare package results against these.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -245,3 +247,30 @@ def reference_heun_dde(rhs, delays, history, horizon, dt, floor=None):
         for i in idx_rng:
             cols[i][idx + 1] = y[i]
     return np.array([col[base:] for col in cols])
+
+
+def reference_write_csv(trace, path):
+    """One row at a time, one ``repr(float(...))`` per cell: the reference for
+    ``Trace.write_csv``, which must write the same bytes."""
+    names = sorted(trace.data)
+    cols = [trace.data[n] for n in names]
+    tvals = trace.t
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["t"] + names) + "\n")
+        for k in range(len(trace)):
+            row = [repr(float(tvals[k]))] + [repr(float(c[k])) for c in cols]
+            fh.write(",".join(row) + "\n")
+
+
+def reference_write_json(trace, path):
+    """The whole trace as a dict of float lists through ``json.dump(indent=1)``:
+    the reference for ``Trace.write_json``, which must write the same bytes."""
+    obj = {
+        "t0": trace.t0,
+        "dt": trace.dt,
+        "meta": trace.meta,
+        "data": {name: [float(v) for v in arr] for name, arr in trace.data.items()},
+    }
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")

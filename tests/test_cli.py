@@ -196,16 +196,18 @@ def test_preset_show_and_unknown(tmp_path):
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_cli_closed_stdout_pipe_exits_quietly(unbuffered):
     """A reader that leaves early (``tcpsync preset list | head -1``) gets
-    exit code 1 and nothing on stderr, whether stdout is buffered or not."""
+    exit code 1 and nothing on stderr, whether stdout is buffered or not,
+    also when argparse prints the help and exits."""
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
-    proc = subprocess.Popen([sys.executable, "-m", "tcpsync.cli", "preset", "list"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == 1
-    assert b"Traceback" not in err
-    assert err == b""
+    for argv in (["preset", "list"], ["--help"]):
+        proc = subprocess.Popen([sys.executable, "-m", "tcpsync.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1, argv
+        assert b"Traceback" not in err
+        assert err == b"", argv
 
 
 def test_sweep_parallel_matches_sequential(tmp_path):
