@@ -17,8 +17,11 @@ Modelling choices:
 * at most one multiplicative backoff per window of data: detections whose
   sequence number falls inside the current recovery window only clear the
   bookkeeping;
-* service is FIFO, one packet per completion, deterministic service time
-  1/capacity; Drop-Tail drops arrivals when occupancy equals the buffer;
+* service is FIFO with fixed service time 1/capacity, so by Lindley's
+  recursion a packet arriving at a departs at d = max(a, d_prev) + 1/capacity;
+  Drop-Tail drops arrivals when occupancy equals the buffer;
+* equal times: a packet departing at t is still held at t, both for a
+  sample (samples are scheduled first) and for an arrival at t;
 * burstiness is controlled by the per-flow access-link speed: faster access
   links release back-to-back packets into the edge queue.
 
@@ -26,11 +29,12 @@ Everything is deterministic given the seed, which only randomises flow start
 times within one round-trip.
 """
 
-import heapq
 import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count
 
 import numpy as np
 
@@ -166,20 +170,56 @@ def _on_loss(flow):
         flow.cwnd = max(flow.cwnd / 2.0, 1.0)
 
 
+def _detect_losses(flow, acked_seq):
+    """Count this delivery against older outstanding drops; apply at most one
+    backoff per recovery window."""
+    remaining = deque()
+    for entry in flow.dropped_pending:
+        seq, hits = entry
+        if seq < acked_seq:
+            hits += 1
+            entry[1] = hits
+        if hits >= DUPACK_DETECT:
+            flow.in_flight -= 1
+            flow.detected += 1
+            if seq > flow.recovery_until:
+                _on_loss(flow)
+                flow.recovery_until = flow.next_seq - 1
+        else:
+            remaining.append(entry)
+    flow.dropped_pending = remaining
+
+
 class _Router:
-    __slots__ = ("name", "rate", "buffer", "queue", "count", "busy",
-                 "drops", "served", "busy_time")
+    """Drop-Tail FIFO router holding the departure times of its packets, oldest first."""
+
+    __slots__ = ("name", "rate", "buffer", "departures", "admitted", "drops")
 
     def __init__(self, name, rate, buffer):
         self.name = name
         self.rate = rate
         self.buffer = buffer
-        self.queue = deque()
-        self.count = 0
-        self.busy = False
+        self.departures = deque()
+        self.admitted = 0
         self.drops = 0
-        self.served = 0
-        self.busy_time = 0.0
+
+    def occupancy(self, t):
+        """Packets held at ``t``, one departing at ``t`` included."""
+        deps = self.departures
+        while deps and deps[0] < t:
+            deps.popleft()
+        return len(deps)
+
+    def admit(self, t):
+        """Departure time of a packet arriving at ``t``, or None if dropped."""
+        if self.occupancy(t) >= self.buffer:
+            self.drops += 1
+            return None
+        deps = self.departures
+        d = (deps[-1] if deps else t) + 1.0 / self.rate
+        deps.append(d)
+        self.admitted += 1
+        return d
 
 
 @dataclass
@@ -227,62 +267,23 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
             )
 
     heap = []
-    counter = 0
-
-    def push(t, kind, payload):
-        nonlocal counter
-        heapq.heappush(heap, (t, counter, kind, payload))
-        counter += 1
-
+    tick = count()  # tie-breaker: equal times pop in push order
     in_network = 0
 
     def maybe_send(flow, now):
-        nonlocal in_network
-        while flow.in_flight < int(flow.window):
-            dep = max(now, flow.access_free) + 1.0 / flow.access_rate
-            flow.access_free = dep
-            push(dep, "arrive", (flow, flow.next_seq, now))
-            flow.next_seq += 1
-            flow.in_flight += 1
-            flow.sent += 1
-            in_network += 1
-
-    def start_service(router, t):
-        push(t + 1.0 / router.rate, "service", router)
-        router.busy = True
-
-    def arrive(router, pkt, t):
-        nonlocal in_network
-        if router.count >= router.buffer:
-            router.drops += 1
-            flow = pkt[0]
-            flow.dropped += 1
-            flow.dropped_pending.append([pkt[1], 0])
-            in_network -= 1
-            return
-        router.count += 1
-        router.queue.append(pkt)
-        if not router.busy:
-            start_service(router, t)
-
-    def detect_losses(flow, acked_seq, now):
-        """Count this delivery against older outstanding drops; apply at most
-        one backoff per recovery window."""
-        remaining = deque()
-        for entry in flow.dropped_pending:
-            seq, hits = entry
-            if seq < acked_seq:
-                hits += 1
-                entry[1] = hits
-            if hits >= DUPACK_DETECT:
-                flow.in_flight -= 1
-                flow.detected += 1
-                if seq > flow.recovery_until:
-                    _on_loss(flow)
-                    flow.recovery_until = flow.next_seq - 1
-            else:
-                remaining.append(entry)
-        flow.dropped_pending = remaining
+        """Release what the window allows onto the access link; return how many."""
+        n = max(int(flow.window) - flow.in_flight, 0)
+        kind = "core" if flow.edge is None else "edge"
+        step = 1.0 / flow.access_rate
+        free = flow.access_free
+        for seq in range(flow.next_seq, flow.next_seq + n):
+            free = (now if now > free else free) + step
+            heappush(heap, (free, next(tick), kind, (flow, seq, now)))
+        flow.access_free = free
+        flow.next_seq += n
+        flow.in_flight += n
+        flow.sent += n
+        return n
 
     # sampling machinery
     n_qsamples = int(duration / sample_dt) + 1
@@ -292,40 +293,34 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
         "base_rtt": [],
     }
     for k in range(n_qsamples):
-        push(k * sample_dt, "qsample", k)
+        heappush(heap, (k * sample_dt, next(tick), "qsample", k))
 
     wseries = {}
     for set_id, rtt in set_rtts.items():
         n = int(duration / rtt) + 1
         wseries[set_id] = np.zeros(n)
         for k in range(n):
-            push(k * rtt, "wsample", (set_id, k))
+            heappush(heap, (k * rtt, next(tick), "wsample", (set_id, k)))
 
     for flow in flows:
-        push(flow.start_time, "start", flow)
+        heappush(heap, (flow.start_time, next(tick), "start", flow))
 
     while heap:
-        t, _, kind, payload = heapq.heappop(heap)
+        t, _, kind, payload = heappop(heap)
         if t > duration:
             break
-        if kind == "arrive":
-            flow, seq, sent_t = payload
-            router = core if flow.edge is None else edges[flow.edge]
-            arrive(router, (flow, seq, sent_t), t)
-        elif kind == "service":
-            router = payload
-            pkt = router.queue.popleft()
-            router.count -= 1
-            router.served += 1
-            router.busy_time += 1.0 / router.rate
-            if router.queue:
-                push(t + 1.0 / router.rate, "service", router)
+        if kind == "edge" or kind == "core":
+            flow, seq, _ = payload
+            router = edges[flow.edge] if kind == "edge" else core
+            d = router.admit(t)
+            if d is None:
+                flow.dropped += 1
+                flow.dropped_pending.append([seq, 0])
+                in_network -= 1
+            elif kind == "edge":
+                heappush(heap, (d, next(tick), "core", payload))
             else:
-                router.busy = False
-            if router is core:
-                push(t + pkt[0].prop, "ack", pkt)
-            else:
-                arrive(core, pkt, t)
+                heappush(heap, (d + flow.prop, next(tick), "ack", payload))
         elif kind == "ack":
             flow, seq, sent_t = payload
             in_network -= 1
@@ -335,14 +330,15 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
             flow.last_rtt = rtt
             if rtt < flow.base_rtt:
                 flow.base_rtt = rtt
-            detect_losses(flow, seq, t)
+            if flow.dropped_pending:
+                _detect_losses(flow, seq)
             _on_ack(flow)
-            maybe_send(flow, t)
+            in_network += maybe_send(flow, t)
         elif kind == "start":
-            maybe_send(payload, t)
+            in_network += maybe_send(payload, t)
         elif kind == "qsample":
             for r in routers:
-                qseries[r.name][payload] = r.count
+                qseries[r.name][payload] = r.occupancy(t)
             conservation["t"].append(t)
             conservation["sent"].append(sum(f.sent for f in flows))
             conservation["delivered"].append(sum(f.delivered for f in flows))
@@ -366,7 +362,7 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
                     if seq > flow.recovery_until:
                         _on_loss(flow)
                         flow.recovery_until = flow.next_seq - 1
-                    maybe_send(flow, t)
+                    in_network += maybe_send(flow, t)
                     progressed = True
             if not progressed:
                 break
@@ -387,7 +383,9 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
         )
         for set_id, arr in wseries.items()
     }
-    utilization = {r.name: r.busy_time / duration for r in routers}
+    # served: departures at or before the end of the run
+    served = {r.name: r.admitted - sum(d > duration for d in r.departures) for r in routers}
+    utilization = {r.name: served[r.name] / (r.rate * duration) for r in routers}
     drops = {r.name: r.drops for r in routers}
     counters = {
         "sent": sum(f.sent for f in flows),
@@ -395,7 +393,7 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
         "dropped": sum(f.dropped for f in flows),
         "in_network": in_network,
         "detected_losses": sum(f.detected for f in flows),
-        "served": {r.name: r.served for r in routers},
+        "served": served,
         "min_base_rtt": min((f.base_rtt for f in flows), default=math.nan),
     }
     conservation = {k: np.asarray(v) for k, v in conservation.items()}

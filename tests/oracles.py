@@ -4,17 +4,22 @@ Everything here is deliberately written from first principles, separate from
 the package's own numerics: plain bisection, brute-force grid searches, an
 argument-principle root counter for delay characteristic functions,
 symbolic differentiation, the per-step Heun loop the DDE integrator is
-held bit-identical to, and the one-row-at-a-time trace writers the streamed
-ones are held byte-identical to.  Tests compare package results against these.
+held bit-identical to, the one-row-at-a-time trace writers the streamed
+ones are held byte-identical to, and the packet event loop with explicit
+service events that the Lindley routers are held to.  Tests compare package results against these.
 """
 
 import cmath
+import heapq
 import json
 import math
+from collections import deque
 
 import numpy as np
 
 from tcpsync.errors import SimulationError
+from tcpsync.packet_sim import DUPACK_DETECT, ScenarioResult, _Flow, _on_ack, _on_loss
+from tcpsync.trace import Trace
 
 
 def plain_bisect(f, lo, hi, iters=200):
@@ -274,3 +279,232 @@ def reference_write_json(trace, path):
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+class _ReferenceRouter:
+    __slots__ = ("name", "rate", "buffer", "queue", "count", "busy",
+                 "drops", "served", "busy_time")
+
+    def __init__(self, name, rate, buffer):
+        self.name = name
+        self.rate = rate
+        self.buffer = buffer
+        self.queue = deque()
+        self.count = 0
+        self.busy = False
+        self.drops = 0
+        self.served = 0
+        self.busy_time = 0.0
+
+
+def reference_run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
+    """The event loop with one ``service`` event per packet and router, the
+    reference for ``packet_sim.run_scenario``: same traces, drops and
+    counters, and ``utilization`` up to its last bits (here it is the running
+    sum of service times over the duration).
+
+    Queue occupancy is sampled every ``sample_dt``; each set's mean window is
+    sampled once per its base round-trip time.  Deterministic given the seed.
+    """
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    rng = np.random.default_rng(seed)
+
+    edges = [
+        _ReferenceRouter("edge1", topology.edge_capacity[0], topology.edge_buffer[0]),
+        _ReferenceRouter("edge2", topology.edge_capacity[1], topology.edge_buffer[1]),
+    ]
+    core = _ReferenceRouter("core", topology.core_capacity, topology.core_buffer)
+    routers = edges + [core]
+
+    flows = []
+    set_rtts = {}
+    for gi, grp in enumerate(groups):
+        set_id = grp.edge if grp.edge is not None else f"cross{gi}"
+        serial = 1.0 / grp.access_rate + 1.0 / topology.core_capacity
+        if grp.edge is not None:
+            serial += 1.0 / topology.edge_capacity[grp.edge]
+            set_rtts.setdefault(grp.edge, grp.rtt)
+        prop = max(grp.rtt - serial, 1e-6)
+        for _ in range(grp.count):
+            start = float(rng.uniform(0.0, grp.rtt))
+            flows.append(
+                _Flow(grp.protocol, grp.edge, prop, grp.access_rate, grp.awnd,
+                      set_id, start)
+            )
+
+    heap = []
+    counter = 0
+
+    def push(t, kind, payload):
+        nonlocal counter
+        heapq.heappush(heap, (t, counter, kind, payload))
+        counter += 1
+
+    in_network = 0
+
+    def maybe_send(flow, now):
+        nonlocal in_network
+        while flow.in_flight < int(flow.window):
+            dep = max(now, flow.access_free) + 1.0 / flow.access_rate
+            flow.access_free = dep
+            push(dep, "arrive", (flow, flow.next_seq, now))
+            flow.next_seq += 1
+            flow.in_flight += 1
+            flow.sent += 1
+            in_network += 1
+
+    def start_service(router, t):
+        push(t + 1.0 / router.rate, "service", router)
+        router.busy = True
+
+    def arrive(router, pkt, t):
+        nonlocal in_network
+        if router.count >= router.buffer:
+            router.drops += 1
+            flow = pkt[0]
+            flow.dropped += 1
+            flow.dropped_pending.append([pkt[1], 0])
+            in_network -= 1
+            return
+        router.count += 1
+        router.queue.append(pkt)
+        if not router.busy:
+            start_service(router, t)
+
+    def detect_losses(flow, acked_seq, now):
+        """Count this delivery against older outstanding drops; apply at most
+        one backoff per recovery window."""
+        remaining = deque()
+        for entry in flow.dropped_pending:
+            seq, hits = entry
+            if seq < acked_seq:
+                hits += 1
+                entry[1] = hits
+            if hits >= DUPACK_DETECT:
+                flow.in_flight -= 1
+                flow.detected += 1
+                if seq > flow.recovery_until:
+                    _on_loss(flow)
+                    flow.recovery_until = flow.next_seq - 1
+            else:
+                remaining.append(entry)
+        flow.dropped_pending = remaining
+
+    # sampling machinery
+    n_qsamples = int(duration / sample_dt) + 1
+    qseries = {r.name: np.zeros(n_qsamples) for r in routers}
+    conservation = {
+        "t": [], "sent": [], "delivered": [], "dropped": [], "in_network": [],
+        "base_rtt": [],
+    }
+    for k in range(n_qsamples):
+        push(k * sample_dt, "qsample", k)
+
+    wseries = {}
+    for set_id, rtt in set_rtts.items():
+        n = int(duration / rtt) + 1
+        wseries[set_id] = np.zeros(n)
+        for k in range(n):
+            push(k * rtt, "wsample", (set_id, k))
+
+    for flow in flows:
+        push(flow.start_time, "start", flow)
+
+    while heap:
+        t, _, kind, payload = heapq.heappop(heap)
+        if t > duration:
+            break
+        if kind == "arrive":
+            flow, seq, sent_t = payload
+            router = core if flow.edge is None else edges[flow.edge]
+            arrive(router, (flow, seq, sent_t), t)
+        elif kind == "service":
+            router = payload
+            pkt = router.queue.popleft()
+            router.count -= 1
+            router.served += 1
+            router.busy_time += 1.0 / router.rate
+            if router.queue:
+                push(t + 1.0 / router.rate, "service", router)
+            else:
+                router.busy = False
+            if router is core:
+                push(t + pkt[0].prop, "ack", pkt)
+            else:
+                arrive(core, pkt, t)
+        elif kind == "ack":
+            flow, seq, sent_t = payload
+            in_network -= 1
+            flow.delivered += 1
+            flow.in_flight -= 1
+            rtt = t - sent_t
+            flow.last_rtt = rtt
+            if rtt < flow.base_rtt:
+                flow.base_rtt = rtt
+            detect_losses(flow, seq, t)
+            _on_ack(flow)
+            maybe_send(flow, t)
+        elif kind == "start":
+            maybe_send(payload, t)
+        elif kind == "qsample":
+            for r in routers:
+                qseries[r.name][payload] = r.count
+            conservation["t"].append(t)
+            conservation["sent"].append(sum(f.sent for f in flows))
+            conservation["delivered"].append(sum(f.delivered for f in flows))
+            conservation["dropped"].append(sum(f.dropped for f in flows))
+            conservation["in_network"].append(in_network)
+            conservation["base_rtt"].append([f.base_rtt for f in flows])
+        elif kind == "wsample":
+            set_id, k = payload
+            members = [f.window for f in flows if f.set_id == set_id]
+            wseries[set_id][k] = sum(members) / len(members)
+        if not heap:
+            # every flow stalled on undetected drops: without timeouts the
+            # system would deadlock, so declare the oldest drop of each
+            # stalled flow detected and resume
+            progressed = False
+            for flow in flows:
+                if flow.dropped_pending and flow.in_flight >= int(flow.window):
+                    seq, _ = flow.dropped_pending.popleft()
+                    flow.in_flight -= 1
+                    flow.detected += 1
+                    if seq > flow.recovery_until:
+                        _on_loss(flow)
+                        flow.recovery_until = flow.next_seq - 1
+                    maybe_send(flow, t)
+                    progressed = True
+            if not progressed:
+                break
+
+    meta = {
+        "duration": duration,
+        "seed": seed,
+        "sample_dt": sample_dt,
+        "n_flows": len(flows),
+    }
+    queue_traces = {
+        name: Trace(0.0, sample_dt, {"occupancy": arr}, {**meta, "router": name})
+        for name, arr in qseries.items()
+    }
+    window_traces = {
+        f"set{set_id + 1}": Trace(
+            0.0, set_rtts[set_id], {"w_mean": arr}, {**meta, "set": set_id + 1}
+        )
+        for set_id, arr in wseries.items()
+    }
+    utilization = {r.name: r.busy_time / duration for r in routers}
+    drops = {r.name: r.drops for r in routers}
+    counters = {
+        "sent": sum(f.sent for f in flows),
+        "delivered": sum(f.delivered for f in flows),
+        "dropped": sum(f.dropped for f in flows),
+        "in_network": in_network,
+        "detected_losses": sum(f.detected for f in flows),
+        "served": {r.name: r.served for r in routers},
+        "min_base_rtt": min((f.base_rtt for f in flows), default=math.nan),
+    }
+    conservation = {k: np.asarray(v) for k, v in conservation.items()}
+    return ScenarioResult(queue_traces, window_traces, utilization, drops,
+                          counters, conservation, meta)

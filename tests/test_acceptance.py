@@ -6,9 +6,11 @@ pinned here; nothing defers to later calibration.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 import numpy as np
 import pytest
@@ -477,27 +479,32 @@ def test_criterion_7_fluid_limit_cycles():
 # ---------------------------------------------------------------- criterion 8
 
 
-@pytest.fixture(scope="module")
-def desk_runs():
+def _desk_run(job):
+    """One criterion-8 scenario, its wall time measured inside its worker."""
     from tcpsync.packet_sim import run_scenario
 
-    runs = {}
-    for preset_name in ("fig6-queues", "fig8-queues", "fig9-queues"):
-        variants = get_preset(preset_name)["variants"]
-        wanted = ("buf15", "buf100", "intermediate") if preset_name != "fig9-queues" \
-            else ("buf100", "intermediate")
-        for variant in wanted:
-            cfg = variants[variant]
-            topo, groups, duration, seed, sample_dt = _build_scenario(cfg)
-            t0 = time.perf_counter()
-            result = run_scenario(topo, groups, duration, seed=seed, sample_dt=sample_dt)
-            wall = time.perf_counter() - t0
-            rtt_mean = float(np.mean([g.rtt for g in groups]))
-            osc = queue_oscillation(
-                result.queue_traces["core"], rtt_mean, topo.core_buffer
-            )
-            runs[(preset_name, variant)] = {"osc": osc, "wall": wall}
-    return runs
+    preset_name, variant = job
+    topo, groups, duration, seed, sample_dt = _build_scenario(
+        get_preset(preset_name)["variants"][variant]
+    )
+    t0 = time.perf_counter()
+    result = run_scenario(topo, groups, duration, seed=seed, sample_dt=sample_dt)
+    wall = time.perf_counter() - t0
+    rtt_mean = float(np.mean([g.rtt for g in groups]))
+    osc = queue_oscillation(result.queue_traces["core"], rtt_mean, topo.core_buffer)
+    return {"osc": osc, "wall": wall}
+
+
+@pytest.fixture(scope="module")
+def desk_runs():
+    jobs = [
+        (preset_name, variant)
+        for preset_name in ("fig6-queues", "fig8-queues", "fig9-queues")
+        for variant in (("buf15", "buf100", "intermediate") if preset_name != "fig9-queues"
+                        else ("buf100", "intermediate"))
+    ]
+    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
+        return dict(zip(jobs, pool.map(_desk_run, jobs)))
 
 
 def test_criterion_8_desk_scale_reproduction(desk_runs):

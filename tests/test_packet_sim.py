@@ -1,6 +1,12 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tcpsync import packet_sim
 from tcpsync.packet_sim import (
     FlowGroup,
     Topology,
@@ -12,7 +18,7 @@ from tcpsync.packet_sim import (
 from tcpsync.protocols import ProtocolSpec
 from tcpsync.signals import local_maxima
 
-from oracles import aimd_sawtooth_period
+from oracles import aimd_sawtooth_period, reference_run_scenario
 
 
 def make_flow(spec):
@@ -219,3 +225,126 @@ def test_core_bottleneck_warning():
             edge_buffer=(10, 10),
             core_buffer=10,
         )
+
+
+# ------------------------------------------------ Lindley routers vs reference
+
+protocols = st.sampled_from([ProtocolSpec.reno(), ProtocolSpec.illinois(), ProtocolSpec.compound()])
+rates = st.floats(40.0, 1500.0)  # packets/s
+
+# small buffers half the time, so that drops and their detection are common
+buffers = st.one_of(st.integers(1, 8), st.integers(1, 200))
+
+
+@st.composite
+def scenarios(draw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a core that is not a bottleneck is still a scenario
+        topo = Topology(
+            edge_capacity=(draw(rates), draw(rates)),
+            core_capacity=draw(rates),
+            edge_buffer=(draw(buffers), draw(buffers)),
+            core_buffer=draw(buffers),
+        )
+    groups = [
+        FlowGroup(
+            count=draw(st.integers(1, 4)),
+            protocol=draw(protocols),
+            rtt=draw(st.floats(0.01, 0.2)),
+            edge=draw(st.sampled_from([0, 1, None])),
+            access_rate=draw(rates),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    duration = draw(st.floats(0.5, 2.0))
+    return topo, groups, duration, draw(st.integers(0, 1000)), draw(st.floats(0.005, 0.05))
+
+
+class RecordedRouter(packet_sim._Router):
+    """A router that remembers every instance, to read ``admitted`` after a
+    run, and counts the arrivals whose outcome hangs on how equal times are
+    ordered: one that meets a departure at its own time while the buffer,
+    that packet included, is full, or one at the same time as the previous
+    arrival.  The reference orders equal times by push order, so such a run
+    may differ from it by design."""
+
+    __slots__ = ("ties", "last_arrival")
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.ties = 0
+        self.last_arrival = None
+        self.made.append(self)
+
+    def admit(self, t):
+        deps = self.departures
+        if t == self.last_arrival or (t in deps and sum(d >= t for d in deps) >= self.buffer):
+            self.ties += 1
+        self.last_arrival = t
+        return super().admit(t)
+
+
+@settings(max_examples=100)
+@given(scenarios())
+def test_lindley_routers_match_reference_and_conserve_packets(scenario):
+    topo, groups, duration, seed, sample_dt = scenario
+    RecordedRouter.made.clear()
+    with mock.patch.object(packet_sim, "_Router", RecordedRouter):
+        res = run_scenario(topo, groups, duration, seed=seed, sample_dt=sample_dt)
+
+    # without an order-dependent tie: the reference's traces, drops, counters
+    # and conservation, exactly (the tie rule has its own test below)
+    if not any(r.ties for r in RecordedRouter.made):
+        ref = reference_run_scenario(topo, groups, duration, seed=seed, sample_dt=sample_dt)
+        assert res.queue_traces.keys() == ref.queue_traces.keys()
+        for name, tr in ref.queue_traces.items():
+            assert np.array_equal(res.queue_traces[name].channel("occupancy"),
+                                  tr.channel("occupancy"))
+        assert res.window_traces.keys() == ref.window_traces.keys()
+        for name, tr in ref.window_traces.items():
+            assert res.window_traces[name].dt == tr.dt
+            assert np.array_equal(res.window_traces[name].channel("w_mean"),
+                                  tr.channel("w_mean"))
+        assert res.drops == ref.drops
+        assert res.counters == ref.counters
+        for key, arr in ref.conservation.items():
+            assert np.array_equal(res.conservation[key], arr), key
+        for name, u in ref.utilization.items():
+            assert abs(res.utilization[name] - u) <= 1e-12
+
+    # conservation at every sample and at the end
+    cons, c = res.conservation, res.counters
+    assert np.array_equal(cons["sent"], cons["delivered"] + cons["dropped"] + cons["in_network"])
+    assert c["sent"] == c["delivered"] + c["dropped"] + c["in_network"]
+    # Drop-Tail: no sampled occupancy above its buffer
+    limits = {"edge1": topo.edge_buffer[0], "edge2": topo.edge_buffer[1],
+              "core": topo.core_buffer}
+    for name, tr in res.queue_traces.items():
+        assert tr.channel("occupancy").max() <= limits[name]
+    # a router serves only packets it admitted; every delivery left the core
+    assert {r.name for r in RecordedRouter.made} == set(limits)
+    for r in RecordedRouter.made:
+        assert c["served"][r.name] <= r.admitted
+    assert c["delivered"] <= c["served"]["core"]
+    assert all(0.0 <= u <= 1.0 for u in res.utilization.values())
+
+
+def test_tie_rule_departing_packet_still_held():
+    """Access link and edge at the same rate: the second packet of the first
+    window reaches the one-packet edge buffer exactly when the first departs,
+    at the end of the run and at a sample."""
+    rtt, rate, seed = 0.1, 100.0, 5
+    start = float(np.random.default_rng(seed).uniform(0.0, rtt))  # run_scenario's start jitter
+    d0 = (start + 1.0 / rate) + 1.0 / rate  # first departure = second arrival
+    topo = Topology(edge_capacity=(rate, rate), core_capacity=150.0,
+                    edge_buffer=(1, 1), core_buffer=10)
+    groups = [FlowGroup(count=1, protocol=ProtocolSpec.reno(), rtt=rtt, edge=0,
+                        access_rate=rate)]
+    res = run_scenario(topo, groups, d0, seed=seed, sample_dt=d0)  # samples at 0 and d0
+    assert res.queue_traces["edge1"].channel("occupancy").tolist() == [0.0, 1.0]
+    assert res.drops["edge1"] == 1  # the arrival at d0 still finds the buffer full
+    assert res.counters["served"] == {"edge1": 1, "edge2": 0, "core": 0}  # d <= duration
+    # the loop with service events popped this tie in the same order
+    ref = reference_run_scenario(topo, groups, d0, seed=seed, sample_dt=d0)
+    assert (ref.drops, ref.counters) == (res.drops, res.counters)
