@@ -9,27 +9,20 @@ parameter r(t) rising to cos(phi0/2).
 
 import math
 
-from tcpsync.dde_sim import (
-    DdeConfig,
-    measure_lock,
-    phase_model_intermediate_equal,
-    simulate_phase_oscillators,
-)
+from tcpsync.dde_sim import DdeConfig, measure_lock, phase_model_equal, simulate_phase_oscillators
 from tcpsync.loss_models import INTERMEDIATE
 from tcpsync.sync_solver import SyncProblem, solve_sync
 
 omega1, omega2, K, tau = 50.0, 51.0, 30.0, 0.1
 
-states = solve_sync(SyncProblem(omega1, omega2, K, tau, INTERMEDIATE))
+problem = SyncProblem(omega1, omega2, K, tau, INTERMEDIATE)
+states = solve_sync(problem)
 print("predicted locked states:")
 for st in states:
     tag = "stable" if st.stable else ("marginal" if st.marginal else "unstable")
     print(f"  Omega={st.Omega:8.4f}  phi0={st.phi0:8.4f}  r={st.order_r:6.4f}  {tag}")
 
-trace = simulate_phase_oscillators(
-    phase_model_intermediate_equal(omega1, omega2, K, tau),
-    DdeConfig(horizon=12.0),
-)
+trace = simulate_phase_oscillators(phase_model_equal(problem), DdeConfig(horizon=12.0))
 lock = measure_lock(trace)
 print(f"\nsimulated lock: Omega={lock['Omega']:.4f}, phi0={lock['phi0']:.5f}, "
       f"r={lock['r_mean']:.5f}, locked={lock['locked']}")

@@ -37,7 +37,6 @@ from .protocols import (
     decrease_fn,
     g_factor,
     increase_fn,
-    window_derivative,
 )
 from .sync_solver import (
     SyncProblem,

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -33,8 +34,7 @@ from .dde_sim import (
     _kick_tuple,
     estimate_limit_cycle,
     measure_lock,
-    phase_model_intermediate_equal,
-    phase_model_small_equal,
+    phase_model_equal,
     simulate_fluid_coupled,
     simulate_fluid_linearized,
     simulate_fluid_single,
@@ -407,13 +407,11 @@ def cmd_simulate_phase(cfg, outdir, fmt):
         B, b = _num(cfg, "core_buffer_pkts"), _num(cfg, "edge_buffer_pkts")
         n_c, n_e = _num(cfg, "core_burstiness", 1.0), _num(cfg, "edge_burstiness", 1.0)
         problem = _checked(SyncProblem, om1, om2, k, tau, SMALL_BUFFER, B=B, b=b, n_c=n_c, n_e=n_e)
-        params = _checked(phase_model_small_equal, om1, om2, k, tau1,
-                          B=B, b=b, n_c=n_c, n_e=n_e, tau2=tau2)
     elif model == "intermediate-equal":
         problem = _checked(SyncProblem, om1, om2, k, tau, INTERMEDIATE)
-        params = _checked(phase_model_intermediate_equal, om1, om2, k, tau1, tau2=tau2)
     else:
         raise ConfigError(f"unknown phase model {model!r}")
+    params = _checked(phase_model_equal, replace(problem, tau=tau1), tau2=tau2)
     sim_cfg = _dde_config(cfg)
     trace = simulate_phase_oscillators(params, sim_cfg)
     trace_path = _write_trace(trace, outdir, f"phase-{model}", fmt)
@@ -463,7 +461,6 @@ def _build_scenario(cfg, seed_override=None):
         core_capacity=to_pkts(_num(topo_cfg, "core_capacity_mbps")),
         edge_buffer=_pair(topo_cfg, "edge_buffer_pkts"),
         core_buffer=_num(topo_cfg, "core_buffer_pkts"),
-        packet_bytes=packet_bytes,
     )
     duration = _num(cfg, "duration_s", 60.0)
     seed = _int(cfg, "seed", 0) if seed_override is None else int(seed_override)

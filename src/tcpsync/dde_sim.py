@@ -36,10 +36,18 @@ import numpy as np
 from . import linear_analysis
 from .equilibrium import solve_coupled, solve_single
 from .errors import SimulationError
-from .loss_models import SMALL_BUFFER, core_loss, core_loss_fn, edge_loss, edge_loss_fn, loss_at
+from .loss_models import (
+    INTERMEDIATE,
+    SMALL_BUFFER,
+    core_loss,
+    core_loss_fn,
+    edge_loss,
+    edge_loss_fn,
+    loss_at,
+)
 from .protocols import decrease_fn, increase_fn, window_laws
 from .signals import analytic_phase, dominant_frequency, fit_frequency
-from .sync_solver import order_parameter
+from .sync_solver import SyncProblem, order_parameter
 from .trace import Trace
 
 #: default steps per (smallest) delay
@@ -320,21 +328,29 @@ class PhaseParams:
         }
 
 
+def phase_model_equal(problem, tau2=None):
+    """Equal-form phase model of a sync problem: coupling ((-D, -S), (-S, -D))
+    from the solver's gains, delays (problem.tau, tau2 or problem.tau)."""
+    d, s = problem.gains()
+    t2 = problem.tau if tau2 is None else tau2
+    return PhaseParams(
+        "phase-small-equal" if problem.regime == SMALL_BUFFER else "phase-intermediate-equal",
+        (problem.omega1, problem.omega2),
+        (problem.tau, t2),
+        ((-d, -s), (-s, -d)),
+    )
+
+
 def phase_model_small_equal(omega1, omega2, K, tau, B, b, n_c=1.0, n_e=1.0, tau2=None):
     """Equally-coupled small-buffer reduction: cross gain K*B/(2 n_c) plus a
     delayed self-interaction b/n_e * K from the set's own edge queue."""
-    cross = -K * B / (2.0 * n_c)
-    self_extra = K * b / n_e
-    m = ((cross + self_extra, cross), (cross, cross + self_extra))
-    t2 = tau if tau2 is None else tau2
-    return PhaseParams("phase-small-equal", (omega1, omega2), (tau, t2), m)
+    problem = SyncProblem(omega1, omega2, K, tau, SMALL_BUFFER, B=B, b=b, n_c=n_c, n_e=n_e)
+    return phase_model_equal(problem, tau2)
 
 
 def phase_model_intermediate_equal(omega1, omega2, K, tau, tau2=None):
     """Equally-coupled intermediate-buffer reduction: pure -K sin coupling."""
-    m = ((-K, -K), (-K, -K))
-    t2 = tau if tau2 is None else tau2
-    return PhaseParams("phase-intermediate-equal", (omega1, omega2), (tau, t2), m)
+    return phase_model_equal(SyncProblem(omega1, omega2, K, tau, INTERMEDIATE), tau2)
 
 
 def phase_model_small_general(spec, net, eq1, eq2, tau1, tau2, omega1, omega2,
@@ -470,8 +486,8 @@ def estimate_limit_cycle(trace, variable, min_periods=20):
             if "r" in tail:
                 r_mean = float(np.mean(tail["r"]))
             else:
-                ph1 = analytic_phase(x, trace.dt)
-                ph2 = analytic_phase(tail[partner], trace.dt)
+                ph1 = analytic_phase(x)
+                ph2 = analytic_phase(tail[partner])
                 r_mean = float(np.mean(order_parameter(ph1, ph2)[0]))
             locked = r_mean > 0.95
     return {"amplitude": amplitude, "frequency": freq, "locked": locked}

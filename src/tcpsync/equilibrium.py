@@ -41,11 +41,6 @@ class EquilibriumState:
         return self.p_edge_star + self.p_core_star
 
 
-def balance_residual(spec, w, p_total):
-    """i(w)(1-p) - d(w)p; positive when the window still wants to grow."""
-    return window_laws(spec).gain(w, p_total)
-
-
 def _bisect(f, lo, hi, rtol=BISECT_RTOL):
     """Bisection on a decreasing residual; assumes f(lo) > 0 > f(hi)."""
     flo, fhi = f(lo), f(hi)

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from .errors import UnsupportedConfigError
 from .loss_models import INTERMEDIATE, SMALL_BUFFER, core_loss, edge_loss
 from .protocols import COMPOUND, RENO, decrease_fn, g_factor, increase_fn
+from .sync_solver import equal_gains
 
 
 @dataclass(frozen=True)
@@ -175,33 +176,19 @@ def coupled_symmetric_coefficients(spec, regime, net, eq):
 
     Returns (a, c_self, c_cross) for the pair of delay equations
 
-        du_m/dt = -a u_m(t) - c_self u_m(t-tau) - c_cross u_other(t-tau).
+        du_m/dt = -a u_m(t) - c_self u_m(t-tau) - c_cross u_other(t-tau),
 
+    that is the single-set (a, c) of ``delay_coefficients`` with
+    c_self = c + D and c_cross = S, the equal-coupling gains of
+    ``sync_solver.equal_gains`` at the coupling strength of ``eq``.
     The symmetric perturbation mode sees c_self + c_cross, the antisymmetric
     mode c_self - c_cross; each mode is a scalar delay system amenable to
     ``critical_delay``.  ``eq`` should be the symmetric coupled equilibrium.
     """
-    net.require_core()
-    i = increase_fn(spec, eq.w_star)
-    g = g_factor(spec, eq.w_star, eq.p_total)
-    a = i * g / net.tau
-    if regime == SMALL_BUFFER:
-        if eq.p_core_star <= 0.0:
-            raise UnsupportedConfigError("symmetric coupled coefficients need core loss > 0")
-        atten = i / (1.0 + eq.p_edge_star / eq.p_core_star)
-        c_self = (i * (net.b / net.n_e) + atten * (net.B / (2.0 * net.n_c) - net.b / net.n_e)) / net.tau
-        c_cross = atten * net.B / (2.0 * net.n_c) / net.tau
-    elif regime == INTERMEDIATE:
-        d = decrease_fn(spec, eq.w_star)
-        n = net.n_e
-        nc = net.n_c
-        c_edge = (i + d) * net.c_prime**n * net.tau ** (n - 1.0) / eq.w_star**n
-        k_core = (i + d) * net.C_tilde**nc / (2.0 ** (nc + 1.0) * eq.w_star**nc * net.tau ** (1.0 - nc))
-        c_self = c_edge + k_core
-        c_cross = k_core
-    else:
-        raise ValueError(f"unknown buffer regime {regime!r}")
-    return a, c_self, c_cross
+    a, c = delay_coefficients(spec, regime, net, eq)
+    k = coupling_strength(spec, regime, net, eq).K
+    d, s = equal_gains(regime, k, net.B, net.b, net.n_c, net.n_e)
+    return a, c + d, s
 
 
 def crossing_frequency(a, c):

@@ -52,15 +52,13 @@ class Topology:
 
     Per-flow propagation is derived from each flow group's base round-trip
     time minus the serialisation chain, so groups with different round-trip
-    times can share an edge.  ``packet_bytes`` is carried for unit
-    conversions at the configuration boundary only.
+    times can share an edge.
     """
 
     edge_capacity: tuple
     core_capacity: float
     edge_buffer: tuple
     core_buffer: float
-    packet_bytes: int = 1500
 
     def __post_init__(self):
         if min(self.edge_capacity) <= 0 or self.core_capacity <= 0:
@@ -85,7 +83,6 @@ class FlowGroup:
     rtt: float
     edge: int = 0
     access_rate: float = 200.0
-    awnd: float = 1e12
 
     def __post_init__(self):
         if self.count < 1:
@@ -96,20 +93,19 @@ class FlowGroup:
 
 class _Flow:
     __slots__ = (
-        "spec", "variant", "edge", "prop", "access_rate", "awnd", "set_id",
+        "spec", "variant", "edge", "prop", "access_rate", "set_id",
         "cwnd", "dwnd", "base_rtt", "last_rtt", "next_seq", "in_flight",
         "sent", "delivered", "dropped", "detected", "dropped_pending",
         "recovery_until", "acks_in_round", "round_size", "access_free",
         "start_time",
     )
 
-    def __init__(self, spec, edge, prop, access_rate, awnd, set_id, start_time):
+    def __init__(self, spec, edge, prop, access_rate, set_id, start_time):
         self.spec = spec
         self.variant = spec.variant
         self.edge = edge
         self.prop = prop
         self.access_rate = access_rate
-        self.awnd = awnd
         self.set_id = set_id
         self.cwnd = 2.0
         self.dwnd = 0.0
@@ -131,8 +127,8 @@ class _Flow:
     @property
     def window(self):
         if self.variant == COMPOUND:
-            return min(self.cwnd + self.dwnd, self.awnd)
-        return min(self.cwnd, self.awnd)
+            return self.cwnd + self.dwnd
+        return self.cwnd
 
 
 def _on_ack(flow):
@@ -262,8 +258,7 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
         for _ in range(grp.count):
             start = float(rng.uniform(0.0, grp.rtt))
             flows.append(
-                _Flow(grp.protocol, grp.edge, prop, grp.access_rate, grp.awnd,
-                      set_id, start)
+                _Flow(grp.protocol, grp.edge, prop, grp.access_rate, set_id, start)
             )
 
     heap = []

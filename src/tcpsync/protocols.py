@@ -150,19 +150,3 @@ def g_factor(spec, w_star, p_star):
         raise ValueError(f"equilibrium loss probability must lie in (0, 1), got {p_star}")
     return elasticity_gap(spec) * (1.0 - p_star)
 
-
-def window_derivative(spec, w_now, w_lag, p_lag, tau):
-    """Right-hand side of the fluid window model, packets/second.
-
-    ``w_now`` is the current mean window, ``w_lag`` the window one round-trip
-    ago and ``p_lag`` the loss probability fed back with that delay.
-    """
-    if not w_now > 0:
-        raise ValueError(f"current window must be positive, got {w_now}")
-    if w_lag < 0:
-        raise ValueError(f"lagged window must be non-negative, got {w_lag}")
-    if not 0.0 <= p_lag <= 1.0:
-        raise ValueError(f"loss probability must lie in [0, 1], got {p_lag}")
-    if not tau > 0:
-        raise ValueError(f"round-trip time must be positive, got {tau}")
-    return (w_lag / tau) * window_laws(spec).gain(w_now, p_lag)

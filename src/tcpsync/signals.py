@@ -29,7 +29,7 @@ def analytic_signal(x):
     return np.fft.ifft(spec)
 
 
-def analytic_phase(x, dt):
+def analytic_phase(x):
     """Unwrapped instantaneous phase of the mean-removed analytic signal."""
     x = np.asarray(x, dtype=float)
     return np.unwrap(np.angle(analytic_signal(x - x.mean())))

@@ -8,7 +8,8 @@ steady-state pair
     Omega = omega_1 + D sin(Omega tau) + S sin(Omega tau + phi0)
     Omega = omega_2 + D sin(Omega tau) + S sin(Omega tau - phi0)
 
-where the gains depend on the buffer regime:
+where the self-interaction gain D and the cross-interaction gain S of the
+equal-coupling reduction depend on the buffer regime (``equal_gains``):
 
     small buffers:        S = K_s B/(2 n_c),  D = K_s (B/(2 n_c) - b/n_e)
     intermediate buffers: S = K_i,            D = K_i.
@@ -19,13 +20,15 @@ parameterises phi0 while scanning Omega.  Solving the pair (rather than the
 averaged relation) keeps the exact exchange symmetry: swapping omega_1 and
 omega_2 negates phi0 and preserves Omega.
 
-A locked state is locally stable iff
+In both regimes a locked state is locally stable iff
 
-    small buffers:        K_s (B/n_c - b/n_e) cos(Omega tau) < 0
-    intermediate buffers: 2 K_i cos(Omega tau) < 0
+    (D + S) cos(Omega tau) < 0
 
-(strict; equality is reported as marginal, not stable).  An empty root list
-is a valid answer: below the critical coupling no locked state exists.
+(strict; equality is reported as marginal, not stable), the equal-delay
+criterion of Earl & Strogatz (PRE 67, 2003).  The phase model that
+``dde_sim.phase_model_equal`` builds integrates the same D and S, as the
+coupling matrix ((-D, -S), (-S, -D)).  An empty root list is a valid answer:
+below the critical coupling no locked state exists.
 """
 
 import math
@@ -33,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .loss_models import INTERMEDIATE, REGIMES, SMALL_BUFFER
+from .loss_models import INTERMEDIATE, REGIMES
 
 #: number of points in the frequency scan grid
 SCAN_POINTS = 10_000
@@ -43,6 +46,22 @@ POLISH_RTOL = 1e-13
 ACCEPT_RTOL = 1e-9
 
 TWO_PI = 2.0 * math.pi
+
+
+def equal_gains(regime, K, B, b, n_c, n_e):
+    """(D, S) of the equal-coupling reduction at coupling strength K.
+
+    The small-buffer cross gain is K times the core's buffer per batch over
+    two, B/(2 n_c); the self gain subtracts the edge's b/n_e from it, so
+    D + S is exactly zero when B/n_c equals b/n_e (the marginal case of the
+    stability rule).
+    """
+    if regime == INTERMEDIATE:
+        return K, K
+    if B is None or b is None:
+        raise ValueError("small-buffer sync problem needs B and b")
+    cross = B / (2.0 * n_c)
+    return K * (cross - b / n_e), K * cross
 
 
 @dataclass(frozen=True)
@@ -74,20 +93,11 @@ class SyncProblem:
 
     def gains(self):
         """(D, S): net self-interaction and cross-interaction gains."""
-        if self.regime == INTERMEDIATE:
-            return self.K, self.K
-        if self.B is None or self.b is None:
-            raise ValueError("small-buffer sync problem needs B and b")
-        s = self.K * self.B / (2.0 * self.n_c)
-        d = self.K * (self.B / (2.0 * self.n_c) - self.b / self.n_e)
-        return d, s
+        return equal_gains(self.regime, self.K, self.B, self.b, self.n_c, self.n_e)
 
     def stability_factor(self, Omega):
-        if self.regime == SMALL_BUFFER:
-            gain = self.K * (self.B / self.n_c - self.b / self.n_e)
-        else:
-            gain = 2.0 * self.K
-        return gain * math.cos(Omega * self.tau)
+        d, s = self.gains()
+        return (d + s) * math.cos(Omega * self.tau)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 Everything here is deliberately written from first principles, separate from
 the package's own numerics: plain bisection, brute-force grid searches, an
 argument-principle root counter for delay characteristic functions,
-symbolic differentiation, the per-step Heun loop the DDE integrator is
-held bit-identical to, the one-row-at-a-time trace writers the streamed
-ones are held byte-identical to, and the packet event loop with explicit
-service events that the Lindley routers are held to.  Tests compare package results against these.
+symbolic differentiation, the sync solver's former per-regime stability
+rule, the per-step Heun loop the DDE integrator is held bit-identical to,
+the one-row-at-a-time trace writers the streamed ones are held
+byte-identical to, and the packet event loop with explicit service events
+that the Lindley routers are held to.  Tests compare package results against
+these.
 """
 
 import cmath
@@ -179,6 +181,20 @@ def brute_sync_roots(omega1, omega2, d_gain, s_gain, tau, omega_max, n_om=2500, 
     return roots
 
 
+def reference_stability_factor(problem, Omega):
+    """The sync solver's former regime-branched stability rule: a locked
+    state is stable iff this is negative, marginal iff it is zero.
+
+        small buffers:        K (B/n_c - b/n_e) cos(Omega tau)
+        intermediate buffers: 2 K cos(Omega tau)
+    """
+    if problem.regime == "small-buffer":
+        gain = problem.K * (problem.B / problem.n_c - problem.b / problem.n_e)
+    else:
+        gain = 2.0 * problem.K
+    return gain * math.cos(Omega * problem.tau)
+
+
 def aimd_sawtooth_period(capacity, buffer_pkts, base_rtt):
     """Deterministic single-flow additive-increase/halving cycle oracle.
 
@@ -329,8 +345,7 @@ def reference_run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
         for _ in range(grp.count):
             start = float(rng.uniform(0.0, grp.rtt))
             flows.append(
-                _Flow(grp.protocol, grp.edge, prop, grp.access_rate, grp.awnd,
-                      set_id, start)
+                _Flow(grp.protocol, grp.edge, prop, grp.access_rate, set_id, start)
             )
 
     heap = []

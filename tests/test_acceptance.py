@@ -19,12 +19,11 @@ from tcpsync.dde_sim import (
     DdeConfig,
     estimate_limit_cycle,
     measure_lock,
-    phase_model_intermediate_equal,
-    phase_model_small_equal,
+    phase_model_equal,
     simulate_fluid_coupled,
     simulate_phase_oscillators,
 )
-from tcpsync.equilibrium import EquilibriumState, balance_residual, solve_coupled, solve_single
+from tcpsync.equilibrium import EquilibriumState, solve_coupled, solve_single
 from tcpsync.linear_analysis import (
     closed_form_coupling,
     closed_form_frequency,
@@ -36,7 +35,7 @@ from tcpsync.linear_analysis import (
 from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER, NetworkParams, core_loss, edge_loss
 from tcpsync.packet_sim import queue_oscillation
 from tcpsync.presets import get_preset
-from tcpsync.protocols import ProtocolSpec, decrease_fn, increase_fn
+from tcpsync.protocols import ProtocolSpec, decrease_fn, increase_fn, window_laws
 from tcpsync.sync_solver import SyncProblem, solve_sync
 from tcpsync.cli import _build_scenario, cmd_sweep
 
@@ -118,7 +117,7 @@ def test_criterion_2_equilibrium_residuals():
             assert abs(eq.residual) <= 1e-10
 
             def f(w):
-                return balance_residual(spec, w, edge_loss(regime, w, net))
+                return window_laws(spec).gain(w, edge_loss(regime, w, net))
 
             lo = net.bdp * (1 + 1e-9) if regime == INTERMEDIATE else 1e-6
             w_oracle = plain_bisect(f, lo, 10 * net.bdp)
@@ -132,11 +131,11 @@ def test_criterion_2_equilibrium_residuals():
             def system(ws):
                 pc = core_loss(regime, ws[0], ws[1], net, tau1, tau2)
                 return [
-                    balance_residual(
-                        spec, ws[0], edge_loss(regime, ws[0], net, tau=tau1) + pc
+                    window_laws(spec).gain(
+                        ws[0], edge_loss(regime, ws[0], net, tau=tau1) + pc
                     ),
-                    balance_residual(
-                        spec, ws[1], edge_loss(regime, ws[1], net, tau=tau2) + pc
+                    window_laws(spec).gain(
+                        ws[1], edge_loss(regime, ws[1], net, tau=tau2) + pc
                     ),
                 ]
 
@@ -249,29 +248,12 @@ def _unstable_phase_configs(rng, regime, count):
     return configs
 
 
-def _phase_params(problem):
-    if problem.regime == INTERMEDIATE:
-        return phase_model_intermediate_equal(
-            problem.omega1, problem.omega2, problem.K, problem.tau
-        )
-    return phase_model_small_equal(
-        problem.omega1, problem.omega2, problem.K, problem.tau,
-        B=problem.B, b=problem.b, n_c=problem.n_c, n_e=problem.n_e,
-    )
-
-
 def _run_lock(problem, stable_states):
     om_bar = 0.5 * (problem.omega1 + problem.omega2)
-    if problem.regime == INTERMEDIATE:
-        rate = 2.0 * problem.K * abs(math.cos(stable_states[0].Omega * problem.tau))
-    else:
-        rate = abs(
-            problem.K * (problem.B / problem.n_c - problem.b / problem.n_e)
-            * math.cos(stable_states[0].Omega * problem.tau)
-        )
+    rate = abs(problem.stability_factor(stable_states[0].Omega))
     horizon = max(60.0 * 2.0 * math.pi / om_bar, 16.0 / max(rate, 1e-6)) * 1.2
     trace = simulate_phase_oscillators(
-        _phase_params(problem), DdeConfig(horizon=horizon, dt=problem.tau / 400.0)
+        phase_model_equal(problem), DdeConfig(horizon=horizon, dt=problem.tau / 400.0)
     )
     return measure_lock(trace)
 
@@ -316,7 +298,7 @@ def test_criterion_4_locked_state_vs_dde(phase_lock_runs):
             delta = 0.01
             horizon = 50.0 * 2.0 * math.pi / root.Omega
             trace = simulate_phase_oscillators(
-                _phase_params(problem),
+                phase_model_equal(problem),
                 DdeConfig(
                     horizon=horizon,
                     dt=problem.tau / 400.0,

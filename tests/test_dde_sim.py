@@ -113,7 +113,7 @@ def test_linearized_marginal_point_frequency():
     omega = intrinsic_frequency(RENO, SMALL_BUFFER, net, eq).omega
     tr = simulate_fluid_linearized(RENO, SMALL_BUFFER, net, DdeConfig(horizon=60.0, kick=1.01))
     tail = tr.tail(0.25)["dw"]
-    ph = analytic_phase(tail, tr.dt)
+    ph = analytic_phase(tail)
     k = len(ph) // 10
     measured = fit_frequency(ph[k:-k], tr.dt)
     assert measured == pytest.approx(omega, rel=0.01)
@@ -185,8 +185,8 @@ def test_coupled_detuned_locks_near_predicted_frequency():
         RENO, SMALL_BUFFER, net, tau1, tau2, DdeConfig(horizon=120.0, kick=(1.03, 0.98))
     )
     k0 = int(len(tr) * 0.6)
-    ph1 = analytic_phase(tr.channel("w1")[k0:], tr.dt)
-    ph2 = analytic_phase(tr.channel("w2")[k0:], tr.dt)
+    ph1 = analytic_phase(tr.channel("w1")[k0:])
+    ph2 = analytic_phase(tr.channel("w2")[k0:])
     f1, f2 = fit_frequency(ph1, tr.dt), fit_frequency(ph2, tr.dt)
     assert abs(f1 - f2) < 1e-3 * f1  # locked
     f_common = 0.5 * (f1 + f2)
@@ -202,8 +202,8 @@ def test_coupled_below_critical_coupling_beats():
         RENO, SMALL_BUFFER, net, tau1, tau2, DdeConfig(horizon=120.0, kick=(1.03, 0.98))
     )
     k0 = int(len(tr) * 0.6)
-    ph1 = analytic_phase(tr.channel("w1")[k0:], tr.dt)
-    ph2 = analytic_phase(tr.channel("w2")[k0:], tr.dt)
+    ph1 = analytic_phase(tr.channel("w1")[k0:])
+    ph2 = analytic_phase(tr.channel("w2")[k0:])
     f1, f2 = fit_frequency(ph1, tr.dt), fit_frequency(ph2, tr.dt)
     assert abs(f1 - f2) > 0.3  # distinct per-set frequencies persist
     r = order_parameter(ph1, ph2)[0]

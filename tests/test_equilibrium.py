@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from tcpsync.equilibrium import balance_residual, solve_coupled, solve_single
+from tcpsync.equilibrium import solve_coupled, solve_single
 from tcpsync.errors import NoRootError
 from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER, NetworkParams, core_loss, edge_loss
-from tcpsync.protocols import ProtocolSpec
+from tcpsync.protocols import ProtocolSpec, window_laws
 
 from oracles import plain_bisect
 
@@ -78,7 +78,7 @@ def test_single_residual_and_oracle_agreement(spec, regime):
         assert 0.0 < eq.p_total < 1.0
 
         def f(w):
-            return balance_residual(spec, w, edge_loss(regime, w, net))
+            return window_laws(spec).gain(w, edge_loss(regime, w, net))
 
         lo = net.bdp * (1 + 1e-9) if regime == INTERMEDIATE else 1e-6
         w_oracle = plain_bisect(f, lo, 10 * net.bdp)
@@ -92,7 +92,7 @@ def test_single_residual_monotone_on_bracket(spec, regime):
     net = net_small(b=15)
     lo = net.bdp * (1 + 1e-6) if regime == INTERMEDIATE else 1e-3
     ws = np.linspace(lo, 10 * net.bdp, 400)
-    vals = [balance_residual(spec, w, edge_loss(regime, w, net)) for w in ws]
+    vals = [window_laws(spec).gain(w, edge_loss(regime, w, net)) for w in ws]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -175,8 +175,8 @@ def test_coupled_residuals_and_independent_root(spec, regime, core_kw):
     def system(ws):
         w1, w2 = ws
         pc = core_loss(regime, w1, w2, net, tau1, tau2)
-        r1 = balance_residual(spec, w1, edge_loss(regime, w1, net, tau=tau1) + pc)
-        r2 = balance_residual(spec, w2, edge_loss(regime, w2, net, tau=tau2) + pc)
+        r1 = window_laws(spec).gain(w1, edge_loss(regime, w1, net, tau=tau1) + pc)
+        r2 = window_laws(spec).gain(w2, edge_loss(regime, w2, net, tau=tau2) + pc)
         return [r1, r2]
 
     sol = optimize.root(system, [e1.w_star * 1.07, e2.w_star * 0.93], tol=1e-13)

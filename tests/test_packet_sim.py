@@ -22,7 +22,7 @@ from oracles import aimd_sawtooth_period, reference_run_scenario
 
 
 def make_flow(spec):
-    return _Flow(spec, 0, 0.05, 200.0, 1e12, 0, 0.0)
+    return _Flow(spec, 0, 0.05, 200.0, 0, 0.0)
 
 
 def test_reno_window_update_reference_points():

@@ -9,7 +9,7 @@ from tcpsync.protocols import (
     decrease_fn,
     g_factor,
     increase_fn,
-    window_derivative,
+    window_laws,
 )
 
 from oracles import symbolic_g
@@ -97,20 +97,24 @@ def test_decrease_linear_increasing():
         assert decrease_fn(spec, 20.0) > decrease_fn(spec, 10.0)
 
 
-def test_window_derivative_reference_points():
-    assert window_derivative(RNO, 10.0, 10.0, 0.0, 0.1) == pytest.approx(10.0)
-    assert window_derivative(RNO, 10.0, 10.0, 1.0, 0.1) == pytest.approx(-500.0)
+def test_window_gain_reference_points():
+    """The fluid window derivative (w_lag/tau) gain(w, p) at w = w_lag = 10,
+    tau = 0.1: 100 (1/w) = 10 without loss, -100 (w/2) = -500 at p = 1."""
+    gain = window_laws(RNO).gain
+    assert (10.0 / 0.1) * gain(10.0, 0.0) == pytest.approx(10.0)
+    assert (10.0 / 0.1) * gain(10.0, 1.0) == pytest.approx(-500.0)
 
 
-def test_window_derivative_sign_change_at_balance():
-    """The derivative flips sign exactly at p = i/(i+d) for fixed w."""
+def test_window_gain_sign_change_at_balance():
+    """The window derivative flips sign exactly at p = i/(i+d) for fixed w."""
     for spec in (CPD, RNO, ILL):
         w = 14.0
+        gain = window_laws(spec).gain
         i, d = increase_fn(spec, w), decrease_fn(spec, w)
         p_bal = i / (i + d)
-        assert window_derivative(spec, w, w, p_bal, 0.2) == pytest.approx(0.0, abs=1e-14)
-        assert window_derivative(spec, w, w, p_bal - 1e-6, 0.2) > 0
-        assert window_derivative(spec, w, w, p_bal + 1e-6, 0.2) < 0
+        assert (w / 0.2) * gain(w, p_bal) == pytest.approx(0.0, abs=1e-14)
+        assert gain(w, p_bal - 1e-6) > 0
+        assert gain(w, p_bal + 1e-6) < 0
 
 
 def test_spec_validation():

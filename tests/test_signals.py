@@ -35,7 +35,7 @@ def test_analytic_phase_slope_recovers_frequency():
     dt = 0.001
     t = dt * np.arange(20000)
     x = np.sin(52.0 * t + 0.3)
-    ph = analytic_phase(x, dt)
+    ph = analytic_phase(x)
     # ignore the transform's edge artefacts
     k = len(ph) // 10
     assert fit_frequency(ph[k:-k], dt) == pytest.approx(52.0, rel=1e-3)

@@ -2,7 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tcpsync.dde_sim import (
+    phase_model_equal,
+    phase_model_intermediate_equal,
+    phase_model_small_equal,
+)
 from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER
 from tcpsync.sync_solver import (
     SyncProblem,
@@ -12,7 +19,7 @@ from tcpsync.sync_solver import (
     solve_sync,
 )
 
-from oracles import brute_sync_roots
+from oracles import brute_sync_roots, reference_stability_factor
 
 
 def inter_problem(omega1=50.0, omega2=51.0, K=30.0, tau=0.1):
@@ -154,6 +161,57 @@ def test_marginal_when_buffer_ratios_match():
     states = solve_sync(p)
     assert states
     assert all(st.marginal and not st.stable for st in states)
+
+
+@st.composite
+def sync_problems(draw):
+    """Equal-coupling problems of either regime; half the small-buffer ones
+    match the buffer ratios B/n_c = b/n_e exactly (the marginal case)."""
+    tau = draw(st.floats(0.01, 0.5))
+    omega1 = draw(st.floats(1.0, 300.0))
+    omega2 = omega1 * (1.0 + draw(st.floats(-0.05, 0.05)))
+    K = draw(st.floats(0.0, 1000.0))
+    if draw(st.booleans()):
+        return SyncProblem(omega1, omega2, K, tau, INTERMEDIATE)
+    B = draw(st.floats(1.0, 300.0))
+    n_c = draw(st.floats(1.0, 8.0))
+    tie = draw(st.sampled_from(["none", "same-burstiness", "smooth-edge"]))
+    if tie == "same-burstiness":
+        b, n_e = B, n_c
+    elif tie == "smooth-edge":
+        b, n_e = B / n_c, 1.0
+    else:
+        b, n_e = draw(st.floats(1.0, 300.0)), draw(st.floats(1.0, 8.0))
+    return SyncProblem(omega1, omega2, K, tau, SMALL_BUFFER, B=B, b=b, n_c=n_c, n_e=n_e)
+
+
+def coupling_bits(matrix):
+    return [float(v).hex() for row in matrix for v in row]
+
+
+@settings(max_examples=200)
+@given(problem=sync_problems(), omegas=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=4))
+def test_equal_reduction_shared_by_phase_model_and_stability_rule(problem, omegas):
+    """The phase model integrates the solver's gains, ((-D, -S), (-S, -D))
+    bit for bit, and the one rule (D + S) cos(Omega tau) < 0 flags states
+    exactly as the former per-regime rule did, at drawn frequencies and at
+    the solver's roots."""
+    d, s = problem.gains()
+    want = coupling_bits(((-d, -s), (-s, -d)))
+    assert coupling_bits(phase_model_equal(problem).coupling) == want
+    p = problem
+    if p.regime == INTERMEDIATE:
+        named = phase_model_intermediate_equal(p.omega1, p.omega2, p.K, p.tau)
+    else:
+        named = phase_model_small_equal(p.omega1, p.omega2, p.K, p.tau,
+                                        B=p.B, b=p.b, n_c=p.n_c, n_e=p.n_e)
+    assert coupling_bits(named.coupling) == want
+    for Omega in omegas:
+        new, old = p.stability_factor(Omega), reference_stability_factor(p, Omega)
+        assert (new < 0.0, new == 0.0) == (old < 0.0, old == 0.0), (Omega, new, old)
+    for state in solve_sync(p, n_grid=500):
+        old = reference_stability_factor(p, state.Omega)
+        assert (state.stable, state.marginal) == (old < 0.0, old == 0.0), state
 
 
 def test_phi0_magnitude_shrinks_with_coupling():
