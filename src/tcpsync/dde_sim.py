@@ -54,17 +54,19 @@ from .trace import Trace
 STEPS_PER_DELAY = 500
 #: fluid windows at or below this many packets abort the run
 W_FLOOR = 1e-9
+#: cycles a trace tail must cover for ``estimate_limit_cycle``
+MIN_CYCLE_PERIODS = 20
 
 
 @dataclass(frozen=True)
 class DdeConfig:
     """Integration settings.
 
-    ``dt`` of None picks min(delay)/STEPS_PER_DELAY.  ``history`` may be a
-    constant (scalar or per-variable tuple) or a callable t -> state tuple on
-    t <= 0; None selects the model's default.  ``kick`` scales the default
-    fluid equilibrium history (scalar or per-set tuple) to inject a
-    perturbation; it is ignored when an explicit history is given.
+    ``dt`` of None picks min(delay)/STEPS_PER_DELAY.  ``history`` is None,
+    which selects the model's default, or a callable t -> state tuple with one
+    entry per variable, read on t <= 0; anything else is a ValueError.
+    ``kick`` scales the default fluid equilibrium history (scalar or per-set
+    tuple) to inject a perturbation; it is ignored when a history is given.
     """
 
     horizon: float
@@ -78,6 +80,8 @@ class DdeConfig:
             raise ValueError("horizon must be positive")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
+        if self.history is not None and not callable(self.history):
+            raise ValueError("history must be None or a callable t -> state tuple")
         if not 0.0 <= self.transient_fraction < 1.0:
             raise ValueError("transient fraction must lie in [0, 1)")
 
@@ -85,19 +89,8 @@ class DdeConfig:
         return min(delays) / STEPS_PER_DELAY if self.dt is None else self.dt
 
 
-def _history_fn(cfg, default_fn, n_var):
-    h = cfg.history
-    if h is None:
-        return default_fn
-    if callable(h):
-        return h
-    if np.ndim(h) == 0:
-        vals = (float(h),) * n_var
-    else:
-        vals = tuple(float(v) for v in h)
-        if len(vals) != n_var:
-            raise ValueError(f"history tuple must have {n_var} entries")
-    return lambda t: vals
+def _history_fn(cfg, default_fn):
+    return default_fn if cfg.history is None else cfg.history
 
 
 def _kick_tuple(kick, n_var):
@@ -199,7 +192,7 @@ def simulate_fluid_single(spec, regime, net, cfg):
     eq = solve_single(spec, regime, net)
     dt = cfg.resolve_dt([net.tau])
     kick = _kick_tuple(cfg.kick, 1)
-    history = _history_fn(cfg, lambda t: (eq.w_star * kick[0],), 1)
+    history = _history_fn(cfg, lambda t: (eq.w_star * kick[0],))
     loss = edge_loss_fn(regime, net.c_prime, net.tau, net.b, net.n_e)
     gain = window_laws(spec).gain
     inv_tau = 1.0 / net.tau
@@ -225,17 +218,16 @@ def simulate_fluid_single(spec, regime, net, cfg):
     return Trace(0.0, dt, {"w": w, "p": p}, meta)
 
 
-def simulate_fluid_linearized(spec, regime, net, cfg, eq=None):
+def simulate_fluid_linearized(spec, regime, net, cfg):
     """Perturbation trajectory of the linearised single-set model."""
-    if eq is None:
-        eq = solve_single(spec, regime, net)
+    eq = solve_single(spec, regime, net)
     a, c = linear_analysis.delay_coefficients(spec, regime, net, eq)
     dt = cfg.resolve_dt([net.tau])
     kick = _kick_tuple(cfg.kick, 1)
     u0 = (kick[0] - 1.0) * eq.w_star
     if cfg.history is None and u0 == 0.0:
         u0 = 0.01 * eq.w_star  # a flat zero history would stay identically zero
-    history = _history_fn(cfg, lambda t: (u0,), 1)
+    history = _history_fn(cfg, lambda t: (u0,))
 
     def rhs(t, y, ylag):
         return (-a * y[0] - c * ylag[0],)
@@ -260,9 +252,7 @@ def simulate_fluid_coupled(spec, regime, net, tau1, tau2, cfg):
     eq1, eq2 = solve_coupled(spec, regime, net, tau1, tau2)
     dt = cfg.resolve_dt([tau1, tau2])
     kick = _kick_tuple(cfg.kick, 2)
-    history = _history_fn(
-        cfg, lambda t: (eq1.w_star * kick[0], eq2.w_star * kick[1]), 2
-    )
+    history = _history_fn(cfg, lambda t: (eq1.w_star * kick[0], eq2.w_star * kick[1]))
     net.require_core()
     loss1 = edge_loss_fn(regime, net.c_prime, tau1, net.b, net.n_e)
     loss2 = edge_loss_fn(regime, net.c_prime, tau2, net.b, net.n_e)
@@ -341,16 +331,16 @@ def phase_model_equal(problem, tau2=None):
     )
 
 
-def phase_model_small_equal(omega1, omega2, K, tau, B, b, n_c=1.0, n_e=1.0, tau2=None):
+def phase_model_small_equal(omega1, omega2, K, tau, B, b, n_c=1.0, n_e=1.0):
     """Equally-coupled small-buffer reduction: cross gain K*B/(2 n_c) plus a
     delayed self-interaction b/n_e * K from the set's own edge queue."""
     problem = SyncProblem(omega1, omega2, K, tau, SMALL_BUFFER, B=B, b=b, n_c=n_c, n_e=n_e)
-    return phase_model_equal(problem, tau2)
+    return phase_model_equal(problem)
 
 
-def phase_model_intermediate_equal(omega1, omega2, K, tau, tau2=None):
+def phase_model_intermediate_equal(omega1, omega2, K, tau):
     """Equally-coupled intermediate-buffer reduction: pure -K sin coupling."""
-    return phase_model_equal(SyncProblem(omega1, omega2, K, tau, INTERMEDIATE), tau2)
+    return phase_model_equal(SyncProblem(omega1, omega2, K, tau, INTERMEDIATE))
 
 
 def phase_model_small_general(spec, net, eq1, eq2, tau1, tau2, omega1, omega2,
@@ -394,7 +384,7 @@ def simulate_phase_oscillators(params, cfg):
     the order-parameter series r(t), psi(t)."""
     om1, om2 = params.omega
     dt = cfg.resolve_dt(params.tau)
-    history = _history_fn(cfg, lambda t: (om1 * t, om2 * t), 2)
+    history = _history_fn(cfg, lambda t: (om1 * t, om2 * t))
     (m11, m12), (m21, m22) = params.coupling
 
     def rhs(t, y, ylag):
@@ -452,15 +442,16 @@ def measure_lock(trace, tail_fraction=0.25):
 _PARTNERS = {"w1": "w2", "w2": "w1", "theta1": "theta2", "theta2": "theta1"}
 
 
-def estimate_limit_cycle(trace, variable, min_periods=20):
+def estimate_limit_cycle(trace, variable):
     """Amplitude/frequency of a (near-)periodic channel, plus a lock verdict.
 
     The leading ``transient_fraction`` of the trace (from its metadata,
     default 0.25) is discarded.  ``locked`` is True only when the channel has
     a partner set (w1/w2 or theta1/theta2) whose dominant frequency agrees
     within 1% and the mean order parameter of the pair exceeds 0.95.
-    Raises ValueError when the trace is too short to cover ``min_periods`` of
-    the detected cycle, naming the horizon that would suffice.
+    Raises ValueError when the trace is too short to cover
+    ``MIN_CYCLE_PERIODS`` of the detected cycle, naming the horizon that
+    would suffice.
     """
     frac = float(trace.meta.get("transient_fraction", 0.25))
     tail = trace.tail(frac)
@@ -471,9 +462,9 @@ def estimate_limit_cycle(trace, variable, min_periods=20):
         return {"amplitude": 0.0, "frequency": 0.0, "locked": False}
     freq = dominant_frequency(x, trace.dt)
     tail_duration = trace.dt * (len(x) - 1)
-    if freq <= 0.0 or tail_duration * freq < min_periods * 2.0 * math.pi:
+    if freq <= 0.0 or tail_duration * freq < MIN_CYCLE_PERIODS * 2.0 * math.pi:
         period = float("inf") if freq <= 0.0 else 2.0 * math.pi / freq
-        needed = min_periods * period / max(1.0 - frac, 1e-9)
+        needed = MIN_CYCLE_PERIODS * period / max(1.0 - frac, 1e-9)
         raise ValueError(
             f"trace covers too few cycles of {variable} for a limit-cycle "
             f"estimate; need a horizon of at least {needed:.3g} s"

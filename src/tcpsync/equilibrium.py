@@ -41,7 +41,7 @@ class EquilibriumState:
         return self.p_edge_star + self.p_core_star
 
 
-def _bisect(f, lo, hi, rtol=BISECT_RTOL):
+def _bisect(f, lo, hi):
     """Bisection on a decreasing residual; assumes f(lo) > 0 > f(hi)."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -54,7 +54,7 @@ def _bisect(f, lo, hi, rtol=BISECT_RTOL):
             f"f(lo)={flo:g}, f(hi)={fhi:g}",
             bracket=(lo, hi),
         )
-    while hi - lo > rtol * hi:
+    while hi - lo > BISECT_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket at floating-point resolution
             break
@@ -123,12 +123,12 @@ def solve_coupled(spec, regime, net, tau1, tau2):
         lo, hi = 0.0, p_core
         for _ in range(120):
             mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:  # bracket at floating-point resolution
+                break
             if implied(windows(mid)) > mid:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= 1e-16 * max(hi, 1e-300):
-                break
         # report the core loss the solved windows actually produce
         p_core = implied(windows(0.5 * (lo + hi)))
         ws = windows(p_core)

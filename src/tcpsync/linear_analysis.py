@@ -41,7 +41,6 @@ from .sync_solver import equal_gains
 
 @dataclass(frozen=True)
 class LinearSummary:
-    regime: str
     feasible: bool
     omega: float = None  # intrinsic frequency, rad/s (None when radicand < 0)
     K: float = None  # coupling strength, 1/s
@@ -68,10 +67,10 @@ def intrinsic_frequency(spec, regime, net, eq):
     a, c = delay_coefficients(spec, regime, net, eq)
     radicand = c * c - a * a
     if radicand > 0.0:
-        return LinearSummary(regime, True, omega=math.sqrt(radicand))
+        return LinearSummary(True, omega=math.sqrt(radicand))
     if radicand == 0.0:
-        return LinearSummary(regime, False, omega=0.0)
-    return LinearSummary(regime, False, omega=None)
+        return LinearSummary(False, omega=0.0)
+    return LinearSummary(False, omega=None)
 
 
 def closed_form_frequency(spec, regime, w_star, p_star, tau, b=None, n=1.0):
@@ -134,7 +133,7 @@ def coupling_strength(spec, regime, net, eq):
         k = (i + d) * net.C_tilde**nc / (2.0 ** (nc + 1.0) * eq.w_star**nc * net.tau ** (1.0 - nc))
     else:
         raise ValueError(f"unknown buffer regime {regime!r}")
-    return LinearSummary(regime, True, K=k)
+    return LinearSummary(True, K=k)
 
 
 def closed_form_coupling(spec, regime, w_star, tau=None, b=None, B=None,

@@ -13,7 +13,8 @@ Modelling choices:
 * a dropped packet is detected by its sender once three later packets of the
   same flow have been delivered (triple-duplicate-ack abstraction); there are
   no retransmissions, no timeouts and no slow start - flows start in
-  congestion avoidance at w = 2;
+  congestion avoidance at w = 2.  So a flow whose window is full of
+  undetected drops gets no more acks and sends nothing until the run ends;
 * at most one multiplicative backoff per window of data: detections whose
   sequence number falls inside the current recovery window only clear the
   bookkeeping;
@@ -44,6 +45,12 @@ from .trace import Trace
 
 #: dupack threshold: later deliveries needed to detect a drop
 DUPACK_DETECT = 3
+#: leading fraction of a queue trace that ``queue_oscillation`` discards
+OSC_TRANSIENT = 0.25
+#: least swing of a sustained queue cycle, in packets
+OSC_MIN_AMPLITUDE = 25.0
+#: least swing of a sustained queue cycle, as a fraction of the buffer
+OSC_BUFFER_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -344,23 +351,6 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
             set_id, k = payload
             members = [f.window for f in flows if f.set_id == set_id]
             wseries[set_id][k] = sum(members) / len(members)
-        if not heap:
-            # every flow stalled on undetected drops: without timeouts the
-            # system would deadlock, so declare the oldest drop of each
-            # stalled flow detected and resume
-            progressed = False
-            for flow in flows:
-                if flow.dropped_pending and flow.in_flight >= int(flow.window):
-                    seq, _ = flow.dropped_pending.popleft()
-                    flow.in_flight -= 1
-                    flow.detected += 1
-                    if seq > flow.recovery_until:
-                        _on_loss(flow)
-                        flow.recovery_until = flow.next_seq - 1
-                    in_network += maybe_send(flow, t)
-                    progressed = True
-            if not progressed:
-                break
 
     meta = {
         "duration": duration,
@@ -396,20 +386,20 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
                           counters, conservation, meta)
 
 
-def queue_oscillation(trace, rtt_mean, buffer_pkts, transient=0.25,
-                      min_amplitude=25.0, buffer_fraction=0.2):
+def queue_oscillation(trace, rtt_mean, buffer_pkts):
     """Classify a queue-occupancy trace as limit cycle or fluctuation.
 
-    The occupancy is band-passed to the decade around the expected
-    limit-cycle frequencies (pi/(10 rtt) .. 10 pi/rtt): sub-round-trip
-    service ripple and slow drift both fall outside.  A sustained cycle must
-    swing by at least ``min_amplitude`` packets and ``buffer_fraction`` of
-    the buffer (a small buffer bounds the queue excursion to irrelevance by
-    design), keep at least half its amplitude in the trailing half of the
-    trace, and show a repeating autocorrelation peak.  The default absolute
-    floor is calibrated to the desk-scale presets (core ~2700 packets/s).
+    The leading ``OSC_TRANSIENT`` of the trace is discarded and the rest
+    band-passed to the decade around the expected limit-cycle frequencies
+    (pi/(10 rtt) .. 10 pi/rtt): sub-round-trip service ripple and slow drift
+    both fall outside.  A sustained cycle must swing by at least
+    ``OSC_MIN_AMPLITUDE`` packets and ``OSC_BUFFER_FRACTION`` of the buffer
+    (a small buffer bounds the queue excursion to irrelevance by design),
+    keep at least half its amplitude in the trailing half of the trace, and
+    show a repeating autocorrelation peak.  The absolute floor is calibrated
+    to the desk-scale presets (core ~2700 packets/s).
     """
-    occ = trace.tail(transient)["occupancy"]
+    occ = trace.tail(OSC_TRANSIENT)["occupancy"]
     dt = trace.dt
     w_lo = math.pi / (10.0 * rtt_mean)
     w_hi = min(10.0 * math.pi / rtt_mean, math.pi / dt * 0.9)
@@ -420,7 +410,7 @@ def queue_oscillation(trace, rtt_mean, buffer_pkts, transient=0.25,
     persistence = second / first if first > 0 else 0.0
     period, coherence = autocorr_period(occ, dt, w_lo, w_hi)
     sustained = (
-        amplitude >= max(min_amplitude, buffer_fraction * buffer_pkts)
+        amplitude >= max(OSC_MIN_AMPLITUDE, OSC_BUFFER_FRACTION * buffer_pkts)
         and persistence >= 0.5
         and math.isfinite(period)
         and coherence > 0.05

@@ -22,14 +22,13 @@ FLOWS_PER_SET = 10
 DIMENSIONING_RTT = 0.250
 
 
-def intermediate_buffer(capacity_pkts, n_flows, rtt=DIMENSIONING_RTT):
-    """Buffer rule: capacity * rtt / sqrt(n_flows), rounded to packets."""
-    return int(round(capacity_pkts * rtt / math.sqrt(n_flows)))
+def intermediate_buffer(capacity_pkts, n_flows):
+    """Buffer rule: capacity * DIMENSIONING_RTT / sqrt(n_flows), rounded to packets."""
+    return int(round(capacity_pkts * DIMENSIONING_RTT / math.sqrt(n_flows)))
 
 
-def _packet_config(rtts_ms, edge_buf, core_buf, protocol="compound",
-                   duration_s=90.0, seed=11, access_mbps=ACCESS_MBPS,
-                   flows=FLOWS_PER_SET, edge_mbps=EDGE_MBPS, core_mbps=CORE_MBPS):
+def _packet_config(rtts_ms, edge_buf, core_buf, edge_mbps=EDGE_MBPS, core_mbps=CORE_MBPS):
+    """A 90 s Compound run, seed 11, of FLOWS_PER_SET flows per set."""
     return {
         "kind": "packet",
         "topology": {
@@ -40,27 +39,26 @@ def _packet_config(rtts_ms, edge_buf, core_buf, protocol="compound",
             "packet_bytes": 1500,
         },
         "groups": [
-            {"count": flows, "protocol": {"variant": protocol},
-             "rtt_ms": rtts_ms[0], "edge": 0, "access_mbps": access_mbps},
-            {"count": flows, "protocol": {"variant": protocol},
-             "rtt_ms": rtts_ms[1], "edge": 1, "access_mbps": access_mbps},
+            {"count": FLOWS_PER_SET, "protocol": {"variant": "compound"},
+             "rtt_ms": rtt, "edge": m, "access_mbps": ACCESS_MBPS}
+            for m, rtt in enumerate(rtts_ms)
         ],
-        "duration_s": duration_s,
-        "seed": seed,
+        "duration_s": 90.0,
+        "seed": 11,
         "sample_dt_ms": 20.0,
     }
 
 
-def _queue_preset(rtts_ms, protocol="compound"):
+def _queue_preset(rtts_ms):
     edge_pkts = mbps_to_pkts_per_s(EDGE_MBPS)
     core_pkts = mbps_to_pkts_per_s(CORE_MBPS)
     b_inter = intermediate_buffer(edge_pkts, FLOWS_PER_SET)
     B_inter = intermediate_buffer(core_pkts, 2 * FLOWS_PER_SET)
     return {
         "variants": {
-            "buf15": _packet_config(rtts_ms, 15, 15, protocol),
-            "buf100": _packet_config(rtts_ms, 100, 100, protocol),
-            "intermediate": _packet_config(rtts_ms, b_inter, B_inter, protocol),
+            "buf15": _packet_config(rtts_ms, 15, 15),
+            "buf100": _packet_config(rtts_ms, 100, 100),
+            "intermediate": _packet_config(rtts_ms, b_inter, B_inter),
         }
     }
 

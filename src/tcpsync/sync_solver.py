@@ -44,6 +44,8 @@ SCAN_POINTS = 10_000
 POLISH_RTOL = 1e-13
 #: polished roots worse than this (relative) are discarded as spurious
 ACCEPT_RTOL = 1e-9
+#: bisection steps that sharpen a coupling-window end between sweep points
+REFINE_STEPS = 40
 
 TWO_PI = 2.0 * math.pi
 
@@ -147,6 +149,7 @@ def _newton_polish(problem, Omega, phi, scale):
         d_om = (f1 * j22 - f2 * j12) / det
         d_ph = (j11 * f2 - j21 * f1) / det
         # damped step: halve until the residual does not grow
+        # (kept: only it reaches the |sin phi0| = 1 roots that fix K_c)
         step = 1.0
         for _ in range(25):
             om_n, ph_n = Omega - step * d_om, phi - step * d_ph
@@ -274,13 +277,15 @@ def select_state(states):
     return None
 
 
-def coupling_range(problem, k_values, refine_iters=40):
+def coupling_range(problem, k_values):
     """Locate the coupling window (K_c, K_u) over a monotone K sweep.
 
     K_c is the smallest coupling at which any locked state exists; K_u the
     smallest above K_c at which locked states exist but none is stable.
     Endpoints not resolved inside the sweep are returned as None (open).
-    Transitions between adjacent sweep points are sharpened by bisection.
+    Transitions between adjacent sweep points are sharpened by
+    ``REFINE_STEPS`` bisection steps, except K_u when K_c was refined inside
+    the same sweep step: K_u is then the next sweep point, unrefined.
     """
     ks = sorted(float(k) for k in k_values)
     if not ks:
@@ -294,7 +299,7 @@ def coupling_range(problem, k_values, refine_iters=40):
 
     def refine(lo, hi, pred):
         # pred flips from False at lo to True at hi
-        for _ in range(refine_iters):
+        for _ in range(REFINE_STEPS):
             mid = 0.5 * (lo + hi)
             if pred(mid):
                 hi = mid
@@ -305,14 +310,12 @@ def coupling_range(problem, k_values, refine_iters=40):
     k_c = None
     k_u = None
     prev_k = None
-    prev_any = None
     prev_all_unstable = None
     for k in ks:
         states = roots_at(k)
-        any_root = bool(states)
         all_unstable = none_stable(states)
-        if k_c is None and any_root:
-            if prev_k is None or prev_any:
+        if k_c is None and states:
+            if prev_k is None:
                 k_c = k
             else:
                 k_c = refine(prev_k, k, lambda kk: bool(roots_at(kk)))
@@ -321,7 +324,7 @@ def coupling_range(problem, k_values, refine_iters=40):
                 k_u = k
             else:
                 k_u = refine(prev_k, k, lambda kk: none_stable(roots_at(kk)))
-        prev_k, prev_any, prev_all_unstable = k, any_root, all_unstable
+        prev_k, prev_all_unstable = k, all_unstable
         if k_c is not None and k_u is not None:
             break
     return k_c, k_u

@@ -417,3 +417,9 @@ def test_estimate_limit_cycle_too_short_names_horizon():
     tr = synthetic_trace([4.0, 4.0], [1.0, 1.0], n=4000)  # ~5 cycles in the tail
     with pytest.raises(ValueError, match="horizon"):
         estimate_limit_cycle(tr, "w1")
+
+
+@pytest.mark.parametrize("history", [1.0, (1.0, 2.0)])
+def test_dde_config_history_must_be_callable(history):
+    with pytest.raises(ValueError, match="history"):
+        DdeConfig(horizon=1.0, history=history)

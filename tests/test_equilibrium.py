@@ -128,6 +128,31 @@ def test_coupled_exchange_symmetry():
     assert a2.w_star == pytest.approx(b1.w_star, rel=1e-12)
 
 
+def test_coupled_bisection_stops_at_float_resolution(monkeypatch):
+    """README analyze config: the core-loss bisection stops once no double
+    lies strictly inside its bracket, instead of running all 120 steps (about
+    5,800 gain calls against 12,058)."""
+    from tcpsync import equilibrium
+
+    calls = 0
+
+    def counted_laws(spec):
+        laws = window_laws(spec)
+
+        def gain(w, p):
+            nonlocal calls
+            calls += 1
+            return laws.gain(w, p)
+
+        return laws._replace(gain=gain)
+
+    monkeypatch.setattr(equilibrium, "window_laws", counted_laws)
+    net = NetworkParams(c_prime=300.0, tau=0.105, b=50.0, C_tilde=1.97 * 300.0, B=100.0)
+    eq1, _ = solve_coupled(ProtocolSpec.compound(), INTERMEDIATE, net, 0.1, 0.11)
+    assert eq1.p_core_star > 0.0
+    assert calls < 8000
+
+
 def test_coupled_huge_core_capacity_decouples():
     spec = ProtocolSpec.reno()
     net = core_net(C_tilde=1e9, B=15)
