@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -113,7 +112,8 @@ def _obj(d, key):
 
 def _finite(value, name):
     try:
-        x = float(value)
+        # JSON true and false are not numbers, though Python's float takes them
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
@@ -133,7 +133,7 @@ def _num(d, key, default=_REQUIRED):
 def _int(d, key, default=_REQUIRED):
     """``d[key]`` as an int; a float or numeric string must be whole."""
     value = d.get(key)
-    x = value if isinstance(value, int) else _num(d, key, default)
+    x = value if type(value) is int else _num(d, key, default)
     if x != int(x):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(x)
@@ -548,6 +548,9 @@ def cmd_sweep(cfg, outdir, workers=1):
     _set_by_path(json.loads(base_json), path, 0.0)  # a bad path fails before any point runs
     jobs = [(base_json, path, v) for v in values]
     if workers > 1:
+        # imported here: the process pool costs every other command import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:

@@ -9,9 +9,11 @@ with p_total the edge loss alone (single system) or edge plus core loss
 (coupled system).  The balance residual is strictly decreasing in w for all
 three protocols in both regimes (i non-increasing, d increasing, p
 non-decreasing), so bracketed bisection is unconditionally safe; speed is
-irrelevant at this scale.
+irrelevant at this scale.  ``halve`` is the package's one bisection loop,
+shared with the sync solver's frequency scan and coupling window.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import NoRootError
@@ -41,6 +43,24 @@ class EquilibriumState:
         return self.p_edge_star + self.p_core_star
 
 
+def halve(above, lo, hi, steps=None, rtol=0.0):
+    """Shrink the bracket [lo, hi] by bisection and return its final ends.
+
+    ``above(mid)`` says whether the target lies above ``mid``.  Halving stops
+    after ``steps`` halvings (no cap when None), once the width is at most
+    ``rtol * hi``, or once no double lies strictly inside the bracket.
+    """
+    for _ in itertools.count() if steps is None else range(steps):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= rtol * hi or mid <= lo or mid >= hi:
+            break
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _bisect(f, lo, hi):
     """Bisection on a decreasing residual; assumes f(lo) > 0 > f(hi)."""
     flo, fhi = f(lo), f(hi)
@@ -54,14 +74,7 @@ def _bisect(f, lo, hi):
             f"f(lo)={flo:g}, f(hi)={fhi:g}",
             bracket=(lo, hi),
         )
-    while hi - lo > BISECT_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket at floating-point resolution
-            break
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = halve(lambda w: f(w) > 0.0, lo, hi, rtol=BISECT_RTOL)
     return 0.5 * (lo + hi)
 
 
@@ -120,15 +133,8 @@ def solve_coupled(spec, regime, net, tau1, tau2):
     ws = windows(0.0)
     p_core = implied(ws)
     if p_core > 0.0:
-        lo, hi = 0.0, p_core
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:  # bracket at floating-point resolution
-                break
-            if implied(windows(mid)) > mid:
-                lo = mid
-            else:
-                hi = mid
+        # capped: from a low end of 0.0, resolution takes ~1,075 halvings
+        lo, hi = halve(lambda q: implied(windows(q)) > q, 0.0, p_core, steps=120)
         # report the core loss the solved windows actually produce
         p_core = implied(windows(0.5 * (lo + hi)))
         ws = windows(p_core)

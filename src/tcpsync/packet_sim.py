@@ -83,7 +83,10 @@ class Topology:
 class FlowGroup:
     """A homogeneous group of flows: count, protocol, base round-trip time,
     which edge they traverse (None = cross traffic straight into the core)
-    and the per-flow access-link rate (packets/s)."""
+    and the per-flow access-link rate (packets/s).  Propagation delay is
+    ``rtt`` less the one-packet serialisation chain (access, edge, core),
+    clamped at 1 us, so a shorter ``rtt`` runs at the chain's length
+    (fig6-queues set 1 asks 5 ms and runs 7.09 ms)."""
 
     count: int
     protocol: ProtocolSpec
@@ -240,7 +243,9 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
     """Run the event loop and return sampled traces plus counters.
 
     Queue occupancy is sampled every ``sample_dt``; each set's mean window is
-    sampled once per its base round-trip time.  Deterministic given the seed.
+    sampled once per its configured ``rtt``, though a group whose ``rtt`` is
+    below its one-packet serialisation chain runs at the chain's length (see
+    ``FlowGroup``).  Deterministic given the seed.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")

@@ -28,7 +28,8 @@ In both regimes a locked state is locally stable iff
 criterion of Earl & Strogatz (PRE 67, 2003).  The phase model that
 ``dde_sim.phase_model_equal`` builds integrates the same D and S, as the
 coupling matrix ((-D, -S), (-S, -D)).  An empty root list is a valid answer:
-below the critical coupling no locked state exists.
+below the critical coupling no locked state exists.  The scan's per-cell
+search and the coupling-window refinement bisect through ``equilibrium.halve``.
 """
 
 import math
@@ -36,6 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .equilibrium import halve
 from .loss_models import INTERMEDIATE, REGIMES
 
 #: number of points in the frequency scan grid
@@ -121,8 +123,7 @@ def _wrap(angle):
     return math.pi if a == -math.pi else a
 
 
-def _pair_residuals(problem, Omega, phi):
-    d, s = problem.gains()
+def _pair_residuals(problem, d, s, Omega, phi):
     ot = Omega * problem.tau
     f1 = problem.omega1 + d * math.sin(ot) + s * math.sin(ot + phi) - Omega
     f2 = problem.omega2 + d * math.sin(ot) + s * math.sin(ot - phi) - Omega
@@ -133,7 +134,7 @@ def _newton_polish(problem, Omega, phi, scale):
     d, s = problem.gains()
     tau = problem.tau
     for _ in range(60):
-        f1, f2 = _pair_residuals(problem, Omega, phi)
+        f1, f2 = _pair_residuals(problem, d, s, Omega, phi)
         err = max(abs(f1), abs(f2))
         if err <= POLISH_RTOL * scale:
             break
@@ -153,21 +154,21 @@ def _newton_polish(problem, Omega, phi, scale):
         step = 1.0
         for _ in range(25):
             om_n, ph_n = Omega - step * d_om, phi - step * d_ph
-            g1, g2 = _pair_residuals(problem, om_n, ph_n)
+            g1, g2 = _pair_residuals(problem, d, s, om_n, ph_n)
             if max(abs(g1), abs(g2)) <= err:
                 break
             step *= 0.5
         Omega, phi = om_n, ph_n
-    f1, f2 = _pair_residuals(problem, Omega, phi)
+    f1, f2 = _pair_residuals(problem, d, s, Omega, phi)
     if max(abs(f1), abs(f2)) > ACCEPT_RTOL * scale:
         return None
     return Omega, _wrap(phi)
 
 
 def _make_state(problem, Omega, phi):
-    f1, f2 = _pair_residuals(problem, Omega, phi)
+    d, s = problem.gains()
+    f1, f2 = _pair_residuals(problem, d, s, Omega, phi)
     detuning = problem.omega2 - problem.omega1
-    _, s = problem.gains()
     phase_res = 2.0 * s * math.sin(phi) * math.cos(Omega * problem.tau) - detuning
     norm = 1.0 + abs(Omega)
     factor = problem.stability_factor(Omega)
@@ -208,36 +209,28 @@ def _scan_roots(problem, omega_max, n_grid):
     sin_phi_cl = np.clip(np.nan_to_num(sin_phi, nan=2.0), -1.0, 1.0)
     cos_phi_mag = np.sqrt(1.0 - sin_phi_cl**2)
 
-    def sin_phi0(om):
-        """Scalar sin(phi0) of the phase balance, clamped as on the grid."""
+    def branch_at(om, sign):
+        """Scalar (sin phi0, G) on one branch, sin phi0 clamped as on the grid."""
         sp = detuning / (2.0 * s * math.cos(om * tau))
         if not math.isfinite(sp):
             sp = 2.0
-        return min(1.0, max(-1.0, sp))
+        sp = min(1.0, max(-1.0, sp))
+        cp = sign * math.sqrt(max(0.0, 1.0 - sp * sp))
+        return sp, omega_bar + d * math.sin(om * tau) + s * math.sin(om * tau) * cp - om
 
     candidates = []
     for sign in (+1.0, -1.0):  # cos(phi0) > 0 branch, then the pi-complement
         g = omega_bar + d * sin_ot + sign * s * sin_ot * cos_phi_mag - grid
-
-        def g_at(om):
-            sp = sin_phi0(om)
-            cp = sign * math.sqrt(max(0.0, 1.0 - sp * sp))
-            return omega_bar + d * math.sin(om * tau) + s * math.sin(om * tau) * cp - om
-
         ok = feasible[:-1] | feasible[1:]
         flip = ok & (np.sign(g[:-1]) != np.sign(g[1:]))
         for idx in np.nonzero(flip)[0]:
-            lo, hi = grid[idx], grid[idx + 1]
-            glo = g[idx]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                gm = g_at(mid)
-                if (gm > 0.0) == (glo > 0.0):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
+            # uncapped: a cell is no wider than its low end, so the bracket
+            # reaches float resolution within 53 halvings
+            up = g[idx] > 0.0
+            lo, hi = halve(lambda om: (branch_at(om, sign)[1] > 0.0) == up,
+                           grid[idx], grid[idx + 1])
             om = 0.5 * (lo + hi)
-            asin_sp = math.asin(sin_phi0(om))
+            asin_sp = math.asin(branch_at(om, sign)[0])
             phi = asin_sp if sign > 0 else _wrap(math.pi - asin_sp)
             candidates.append((om, phi))
     roots = []
@@ -284,7 +277,7 @@ def coupling_range(problem, k_values):
     smallest above K_c at which locked states exist but none is stable.
     Endpoints not resolved inside the sweep are returned as None (open).
     Transitions between adjacent sweep points are sharpened by
-    ``REFINE_STEPS`` bisection steps, except K_u when K_c was refined inside
+    ``REFINE_STEPS`` halvings, except K_u when K_c was refined inside
     the same sweep step: K_u is then the next sweep point, unrefined.
     """
     ks = sorted(float(k) for k in k_values)
@@ -297,16 +290,6 @@ def coupling_range(problem, k_values):
     def none_stable(states):
         return bool(states) and not any(st.stable for st in states)
 
-    def refine(lo, hi, pred):
-        # pred flips from False at lo to True at hi
-        for _ in range(REFINE_STEPS):
-            mid = 0.5 * (lo + hi)
-            if pred(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
     k_c = None
     k_u = None
     prev_k = None
@@ -318,12 +301,13 @@ def coupling_range(problem, k_values):
             if prev_k is None:
                 k_c = k
             else:
-                k_c = refine(prev_k, k, lambda kk: bool(roots_at(kk)))
+                k_c = halve(lambda kk: not roots_at(kk), prev_k, k, steps=REFINE_STEPS)[1]
         if k_c is not None and k > k_c and k_u is None and all_unstable:
-            if prev_all_unstable or prev_k is None or prev_k < k_c:
+            if prev_all_unstable or prev_k < k_c:
                 k_u = k
             else:
-                k_u = refine(prev_k, k, lambda kk: none_stable(roots_at(kk)))
+                k_u = halve(lambda kk: not none_stable(roots_at(kk)), prev_k, k,
+                            steps=REFINE_STEPS)[1]
         prev_k, prev_all_unstable = k, all_unstable
         if k_c is not None and k_u is not None:
             break

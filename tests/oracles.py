@@ -6,8 +6,10 @@ argument-principle root counter for delay characteristic functions,
 symbolic differentiation, the sync solver's former per-regime stability
 rule, the per-step Heun loop the DDE integrator is held bit-identical to,
 the one-row-at-a-time trace writers the streamed ones are held
-byte-identical to, and the packet event loop with explicit service events
-that the Lindley routers are held to.  Tests compare package results against
+byte-identical to, the packet event loop with explicit service events
+that the Lindley routers are held to, and the hand-written bisection loops
+of the equilibrium solvers, the sync scan and the coupling window that the
+shared ``equilibrium.halve`` is held bit-identical to.  Tests compare package results against
 these.
 """
 
@@ -16,11 +18,23 @@ import heapq
 import json
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
-from tcpsync.errors import SimulationError
+from tcpsync.equilibrium import BISECT_RTOL, EquilibriumState
+from tcpsync.errors import NoRootError, SimulationError
+from tcpsync.loss_models import core_loss_fn, edge_loss_fn
 from tcpsync.packet_sim import DUPACK_DETECT, ScenarioResult, _Flow, _on_ack, _on_loss
+from tcpsync.protocols import window_laws
+from tcpsync.sync_solver import (
+    ACCEPT_RTOL,
+    POLISH_RTOL,
+    REFINE_STEPS,
+    SCAN_POINTS,
+    SyncState,
+    _wrap,
+)
 from tcpsync.trace import Trace
 
 
@@ -523,3 +537,252 @@ def reference_run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
     conservation = {k: np.asarray(v) for k, v in conservation.items()}
     return ScenarioResult(queue_traces, window_traces, utilization, drops,
                           counters, conservation, meta)
+
+
+# --------------------------------------------------------------------------
+# the equilibrium and sync-solver searches, each with its own halving loop
+
+
+def reference_bisect(f, lo, hi):
+    """Bisection on a decreasing residual; assumes f(lo) > 0 > f(hi)."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo < 0.0 or fhi > 0.0:
+        raise NoRootError(
+            f"residual does not change sign on ({lo:g}, {hi:g}): "
+            f"f(lo)={flo:g}, f(hi)={fhi:g}",
+            bracket=(lo, hi),
+        )
+    while hi - lo > BISECT_RTOL * hi:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # bracket at floating-point resolution
+            break
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_solve_coupled(spec, regime, net, tau1, tau2):
+    """``equilibrium.solve_coupled`` with its own outer and inner loops."""
+    net.require_core()
+    taus = (tau1, tau2)
+    gain = window_laws(spec).gain
+    edge = [edge_loss_fn(regime, net.c_prime, tau, net.b, net.n_e) for tau in taus]
+    core = core_loss_fn(regime, net.C_tilde, net.B, net.n_c)
+
+    def solve_set(m, p_core):
+        loss = edge[m]
+        return reference_bisect(
+            lambda w: gain(w, loss(w) + p_core), 1e-6, 10.0 * net.c_prime * taus[m]
+        )
+
+    def windows(p_core):
+        return [solve_set(m, p_core) for m in (0, 1)]
+
+    def implied(ws):
+        return core(ws[0] / tau1 + ws[1] / tau2)
+
+    ws = windows(0.0)
+    p_core = implied(ws)
+    if p_core > 0.0:
+        lo, hi = 0.0, p_core
+        for _ in range(120):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:  # bracket at floating-point resolution
+                break
+            if implied(windows(mid)) > mid:
+                lo = mid
+            else:
+                hi = mid
+        # report the core loss the solved windows actually produce
+        p_core = implied(windows(0.5 * (lo + hi)))
+        ws = windows(p_core)
+
+    states = []
+    for m in (0, 1):
+        p_edge = edge[m](ws[m])
+        states.append(EquilibriumState(ws[m], p_edge, p_core, gain(ws[m], p_edge + p_core)))
+    return states[0], states[1]
+
+
+def _reference_pair_residuals(problem, Omega, phi):
+    d, s = problem.gains()
+    ot = Omega * problem.tau
+    f1 = problem.omega1 + d * math.sin(ot) + s * math.sin(ot + phi) - Omega
+    f2 = problem.omega2 + d * math.sin(ot) + s * math.sin(ot - phi) - Omega
+    return f1, f2
+
+
+def _reference_newton_polish(problem, Omega, phi, scale):
+    d, s = problem.gains()
+    tau = problem.tau
+    for _ in range(60):
+        f1, f2 = _reference_pair_residuals(problem, Omega, phi)
+        err = max(abs(f1), abs(f2))
+        if err <= POLISH_RTOL * scale:
+            break
+        ot = Omega * tau
+        c, cp, cm = math.cos(ot), math.cos(ot + phi), math.cos(ot - phi)
+        j11 = d * tau * c + s * tau * cp - 1.0
+        j12 = s * cp
+        j21 = d * tau * c + s * tau * cm - 1.0
+        j22 = -s * cm
+        det = j11 * j22 - j12 * j21
+        if det == 0.0:
+            return None
+        d_om = (f1 * j22 - f2 * j12) / det
+        d_ph = (j11 * f2 - j21 * f1) / det
+        step = 1.0
+        for _ in range(25):
+            om_n, ph_n = Omega - step * d_om, phi - step * d_ph
+            g1, g2 = _reference_pair_residuals(problem, om_n, ph_n)
+            if max(abs(g1), abs(g2)) <= err:
+                break
+            step *= 0.5
+        Omega, phi = om_n, ph_n
+    f1, f2 = _reference_pair_residuals(problem, Omega, phi)
+    if max(abs(f1), abs(f2)) > ACCEPT_RTOL * scale:
+        return None
+    return Omega, _wrap(phi)
+
+
+def _reference_make_state(problem, Omega, phi):
+    f1, f2 = _reference_pair_residuals(problem, Omega, phi)
+    detuning = problem.omega2 - problem.omega1
+    _, s = problem.gains()
+    phase_res = 2.0 * s * math.sin(phi) * math.cos(Omega * problem.tau) - detuning
+    norm = 1.0 + abs(Omega)
+    factor = problem.stability_factor(Omega)
+    return SyncState(
+        Omega=Omega,
+        phi0=phi,
+        stable=factor < 0.0,
+        marginal=factor == 0.0,
+        residual_freq=abs(f1) / norm,
+        residual_phase=abs(phase_res) / norm,
+        order_r=math.cos(phi / 2.0),
+    )
+
+
+def reference_scan_roots(problem, omega_max, n_grid):
+    """``sync_solver._scan_roots`` with its 60-step per-cell bisection."""
+    d, s = problem.gains()
+    detuning = problem.omega2 - problem.omega1
+    omega_bar = 0.5 * (problem.omega1 + problem.omega2)
+    tau = problem.tau
+    scale = max(1.0, abs(problem.omega1), abs(problem.omega2), abs(s), abs(d))
+
+    grid = np.linspace(0.0, omega_max, n_grid + 1)[1:]
+    cos_ot = np.cos(grid * tau)
+    sin_ot = np.sin(grid * tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin_phi = detuning / (2.0 * s * cos_ot)
+    feasible = np.isfinite(sin_phi) & (np.abs(sin_phi) <= 1.0)
+    sin_phi_cl = np.clip(np.nan_to_num(sin_phi, nan=2.0), -1.0, 1.0)
+    cos_phi_mag = np.sqrt(1.0 - sin_phi_cl**2)
+
+    def sin_phi0(om):
+        sp = detuning / (2.0 * s * math.cos(om * tau))
+        if not math.isfinite(sp):
+            sp = 2.0
+        return min(1.0, max(-1.0, sp))
+
+    candidates = []
+    for sign in (+1.0, -1.0):
+        g = omega_bar + d * sin_ot + sign * s * sin_ot * cos_phi_mag - grid
+
+        def g_at(om):
+            sp = sin_phi0(om)
+            cp = sign * math.sqrt(max(0.0, 1.0 - sp * sp))
+            return omega_bar + d * math.sin(om * tau) + s * math.sin(om * tau) * cp - om
+
+        ok = feasible[:-1] | feasible[1:]
+        flip = ok & (np.sign(g[:-1]) != np.sign(g[1:]))
+        for idx in np.nonzero(flip)[0]:
+            lo, hi = grid[idx], grid[idx + 1]
+            glo = g[idx]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                gm = g_at(mid)
+                if (gm > 0.0) == (glo > 0.0):
+                    lo, glo = mid, gm
+                else:
+                    hi = mid
+            om = 0.5 * (lo + hi)
+            asin_sp = math.asin(sin_phi0(om))
+            phi = asin_sp if sign > 0 else _wrap(math.pi - asin_sp)
+            candidates.append((om, phi))
+    roots = []
+    for om, phi in candidates:
+        polished = _reference_newton_polish(problem, om, phi, scale)
+        if polished is None:
+            continue
+        om, phi = polished
+        if om <= 0.0 or om > omega_max * (1.0 + 1e-9):
+            continue
+        if any(abs(om - o) <= 1e-7 * (1.0 + abs(o)) and abs(phi - p) <= 1e-6 for o, p in roots):
+            continue
+        roots.append((om, phi))
+    roots.sort()
+    return [_reference_make_state(problem, om, phi) for om, phi in roots]
+
+
+def reference_solve_sync(problem, omega_max=None, n_grid=SCAN_POINTS):
+    """``sync_solver.solve_sync`` over ``reference_scan_roots``."""
+    omega_bar = 0.5 * (problem.omega1 + problem.omega2)
+    if omega_max is None:
+        omega_max = max(4.0 * omega_bar, 4.0 * math.pi / problem.tau)
+    if problem.K == 0.0:
+        if problem.omega1 == problem.omega2:
+            return [_reference_make_state(problem, problem.omega1, 0.0)]
+        return []
+    return reference_scan_roots(problem, omega_max, n_grid)
+
+
+def reference_coupling_range(problem, k_values):
+    """``sync_solver.coupling_range`` with its ``refine`` closure."""
+    ks = sorted(float(k) for k in k_values)
+    if not ks:
+        raise ValueError("empty coupling sweep")
+
+    def roots_at(k):
+        return reference_solve_sync(replace(problem, K=k))
+
+    def none_stable(states):
+        return bool(states) and not any(st.stable for st in states)
+
+    def refine(lo, hi, pred):
+        for _ in range(REFINE_STEPS):
+            mid = 0.5 * (lo + hi)
+            if pred(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    k_c = None
+    k_u = None
+    prev_k = None
+    prev_all_unstable = None
+    for k in ks:
+        states = roots_at(k)
+        all_unstable = none_stable(states)
+        if k_c is None and states:
+            if prev_k is None:
+                k_c = k
+            else:
+                k_c = refine(prev_k, k, lambda kk: bool(roots_at(kk)))
+        if k_c is not None and k > k_c and k_u is None and all_unstable:
+            if prev_all_unstable or prev_k is None or prev_k < k_c:
+                k_u = k
+            else:
+                k_u = refine(prev_k, k, lambda kk: none_stable(roots_at(kk)))
+        prev_k, prev_all_unstable = k, all_unstable
+        if k_c is not None and k_u is not None:
+            break
+    return k_c, k_u

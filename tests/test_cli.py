@@ -360,6 +360,11 @@ REJECTED = [
     ("sweep", ("param_path",), 3, "param-path-not-a-string"),
     ("sweep", ("param_path",), "network.rtt_ms.x", "param-path-through-a-number"),
     ("sweep", ("base",), [1], "base-not-an-object"),
+    # JSON booleans are not numbers, though Python's float and int take them
+    ("analyze", ("network", "core_buffer_pkts"), True, "core-buffer-boolean"),
+    ("analyze", ("protocol", "alpha"), True, "protocol-alpha-boolean"),
+    ("simulate-fluid", ("horizon_s",), True, "horizon-boolean"),
+    ("simulate-packets", ("groups", 0, "count"), True, "group-count-boolean"),
 ]
 
 

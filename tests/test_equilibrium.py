@@ -7,12 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from tcpsync.equilibrium import solve_coupled, solve_single
+from tcpsync.equilibrium import _bracket, solve_coupled, solve_single
 from tcpsync.errors import NoRootError
-from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER, NetworkParams, core_loss, edge_loss
+from tcpsync.loss_models import (
+    INTERMEDIATE,
+    SMALL_BUFFER,
+    NetworkParams,
+    core_loss,
+    edge_loss,
+    edge_loss_fn,
+)
 from tcpsync.protocols import ProtocolSpec, window_laws
 
-from oracles import plain_bisect
+from oracles import plain_bisect, reference_bisect, reference_solve_coupled
 
 SPECS = [ProtocolSpec.compound(), ProtocolSpec.reno(), ProtocolSpec.illinois()]
 
@@ -194,6 +201,11 @@ def test_coupled_residuals_and_independent_root(spec, regime, core_kw):
     net = core_net(**core_kw)
     tau1, tau2 = 0.1, 0.11
     e1, e2 = solve_coupled(spec, regime, net, tau1, tau2)
+    assert repr((e1, e2)) == repr(reference_solve_coupled(spec, regime, net, tau1, tau2))
+    gain = window_laws(spec).gain
+    loss = edge_loss_fn(regime, net.c_prime, net.tau, net.b, net.n_e)
+    w = reference_bisect(lambda w: gain(w, loss(w)), *_bracket(regime, net))
+    assert repr(solve_single(spec, regime, net).w_star) == repr(w)
     assert abs(e1.residual) <= 1e-10
     assert abs(e2.residual) <= 1e-10
 
@@ -236,7 +248,8 @@ def _dimensioning(capacity_pkts, n_flows):
 def test_coupled_property_over_analyze_box(spec, regime, c_prime, factor, rtt1, ratio, b, B):
     """Over the parameter box of the analyze benchmark workload: residuals at
     the noise floor, the core loss inside [0, p0] (p0 the core loss at the
-    edge-only windows) and exact exchange symmetry in the two delays."""
+    edge-only windows), exact exchange symmetry in the two delays, and the
+    same bits as the hand-written loops that ``halve`` replaced."""
     if regime == INTERMEDIATE:
         b = _dimensioning(10.0 * c_prime, 10)
         B = _dimensioning(10.0 * factor * c_prime, 20)
@@ -244,6 +257,11 @@ def test_coupled_property_over_analyze_box(spec, regime, c_prime, factor, rtt1, 
     net = NetworkParams(c_prime=c_prime, tau=0.5 * (tau1 + tau2), b=b,
                         C_tilde=factor * c_prime, B=B)
     e1, e2 = solve_coupled(spec, regime, net, tau1, tau2)
+    assert repr((e1, e2)) == repr(reference_solve_coupled(spec, regime, net, tau1, tau2))
+    gain = window_laws(spec).gain
+    loss = edge_loss_fn(regime, net.c_prime, net.tau, net.b, net.n_e)
+    w = reference_bisect(lambda w: gain(w, loss(w)), *_bracket(regime, net))
+    assert repr(solve_single(spec, regime, net).w_star) == repr(w)
     assert abs(e1.residual) <= 1e-10
     assert abs(e2.residual) <= 1e-10
 
@@ -256,3 +274,4 @@ def test_coupled_property_over_analyze_box(spec, regime, c_prime, factor, rtt1, 
 
     s1, s2 = solve_coupled(spec, regime, net, tau2, tau1)
     assert (s1.w_star, s2.w_star) == (e2.w_star, e1.w_star)
+

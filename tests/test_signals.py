@@ -51,7 +51,12 @@ def test_analytic_signal_matches_scipy_hilbert(x):
 
 
 def test_cli_import_loads_no_scipy():
-    code = "import sys, tcpsync.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    """Importing the CLI loads neither scipy nor the process-pool machinery,
+    which only ``sweep --workers N`` with N > 1 needs."""
+    code = (
+        "import sys, tcpsync.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
+        "in ('scipy', 'multiprocessing') or m == 'concurrent.futures.process'))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tcpsync.dde_sim import (
@@ -10,7 +10,10 @@ from tcpsync.dde_sim import (
     phase_model_intermediate_equal,
     phase_model_small_equal,
 )
-from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER
+from tcpsync.equilibrium import solve_single
+from tcpsync.linear_analysis import coupling_strength, intrinsic_frequency
+from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER, NetworkParams
+from tcpsync.protocols import ProtocolSpec
 from tcpsync.sync_solver import (
     SyncProblem,
     coupling_range,
@@ -19,7 +22,12 @@ from tcpsync.sync_solver import (
     solve_sync,
 )
 
-from oracles import brute_sync_roots, reference_stability_factor
+from oracles import (
+    brute_sync_roots,
+    reference_coupling_range,
+    reference_solve_sync,
+    reference_stability_factor,
+)
 
 
 def inter_problem(omega1=50.0, omega2=51.0, K=30.0, tau=0.1):
@@ -298,3 +306,52 @@ def test_select_state_prefers_smallest_stable():
     if sel is not None:
         assert sel.stable
         assert all(sel.Omega <= st.Omega for st in states if st.stable)
+
+
+def _dimensioning(capacity_pkts, n_flows):
+    return float(max(1, round(capacity_pkts * 0.250 / math.sqrt(n_flows))))
+
+
+@st.composite
+def analyze_problems(draw):
+    """The SyncProblem that ``tcpsync analyze`` builds, over the parameter box
+    of the analyze benchmark workload; infeasible draws are rejected."""
+    spec = draw(st.sampled_from([ProtocolSpec.compound(), ProtocolSpec.reno(),
+                                 ProtocolSpec.illinois()]))
+    regime = draw(st.sampled_from([SMALL_BUFFER, INTERMEDIATE]))
+    c_prime = draw(st.floats(50.0, 5000.0))
+    factor = draw(st.floats(1.5, 1.97))
+    rtt1 = draw(st.floats(0.02, 0.2))
+    rtt2 = rtt1 * draw(st.floats(1.0, 1.1))
+    if regime == SMALL_BUFFER:
+        b, B = draw(st.floats(5.0, 30.0)), draw(st.floats(15.0, 60.0))
+    else:
+        b = _dimensioning(10.0 * c_prime, 10)
+        B = _dimensioning(10.0 * factor * c_prime, 20)
+    fields = dict(c_prime=c_prime, b=b, C_tilde=factor * c_prime, B=B)
+    omegas = []
+    for tau in (rtt1, rtt2):
+        net = NetworkParams(tau=tau, **fields)
+        summary = intrinsic_frequency(spec, regime, net, solve_single(spec, regime, net))
+        assume(summary.feasible and summary.omega)
+        omegas.append(summary.omega)
+    net = NetworkParams(tau=0.5 * (rtt1 + rtt2), **fields)
+    K = coupling_strength(spec, regime, net, solve_single(spec, regime, net)).K
+    return SyncProblem(omegas[0], omegas[1], K, net.tau, regime, B=B, b=b)
+
+
+@settings(max_examples=60)
+@given(problem=analyze_problems())
+def test_solve_sync_matches_reference_scan(problem):
+    """The scan bisecting through ``halve`` with no step cap returns the root
+    list of the former 60-step loop, bit for bit."""
+    assert repr(solve_sync(problem)) == repr(reference_solve_sync(problem))
+
+
+@settings(max_examples=15)
+@given(problem=analyze_problems())
+def test_coupling_range_matches_reference_refine(problem):
+    """Over a short version of the analyze sweep, K_c and K_u equal those of
+    the former ``refine`` closure, bit for bit."""
+    ks = np.linspace(0.0, 40.0, 9)
+    assert repr(coupling_range(problem, ks)) == repr(reference_coupling_range(problem, ks))
