@@ -85,13 +85,6 @@ class DdeConfig:
         if not 0.0 <= self.transient_fraction < 1.0:
             raise ValueError("transient fraction must lie in [0, 1)")
 
-    def resolve_dt(self, delays):
-        return min(delays) / STEPS_PER_DELAY if self.dt is None else self.dt
-
-
-def _history_fn(cfg, default_fn):
-    return default_fn if cfg.history is None else cfg.history
-
 
 def _kick_tuple(kick, n_var):
     if np.ndim(kick) == 0:
@@ -145,11 +138,17 @@ def integrate_dde(rhs, delays, history, horizon, dt, floor=None):
             f"step dt={dt:g} exceeds the smallest delay {min(delays):g}; "
             "delayed reads would need extrapolation"
         )
-    joffs = [int(math.floor(off)) for off in offs]
+    try:
+        joffs = [int(math.floor(off)) for off in offs]
+        n_hist = max(joffs) + 2
+        n_steps = int(round(horizon / dt))
+        store = np.empty((n_hist + 1 + n_steps, n_var))
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise SimulationError(
+            f"a horizon of {horizon:g} s at step dt={dt:g} with delays {list(delays)} "
+            f"needs more samples than can be stored ({exc})"
+        ) from None
     fracs = [off - j for off, j in zip(offs, joffs)]
-    n_hist = max(joffs) + 2
-    n_steps = int(round(horizon / dt))
-    store = np.empty((n_hist + 1 + n_steps, n_var))
     for k in range(n_hist + 1):
         vals = history((k - n_hist) * dt)
         store[k] = [float(vals[i]) for i in range(n_var)]
@@ -187,78 +186,36 @@ def integrate_dde(rhs, delays, history, horizon, dt, floor=None):
     return np.ascontiguousarray(store[n_hist:].T)
 
 
-def simulate_fluid_single(spec, regime, net, cfg):
-    """Window trajectory of one set of flows behind its edge queue."""
-    eq = solve_single(spec, regime, net)
-    dt = cfg.resolve_dt([net.tau])
-    kick = _kick_tuple(cfg.kick, 1)
-    history = _history_fn(cfg, lambda t: (eq.w_star * kick[0],))
-    loss = edge_loss_fn(regime, net.c_prime, net.tau, net.b, net.n_e)
-    gain = window_laws(spec).gain
-    inv_tau = 1.0 / net.tau
-
-    def rhs(t, y, ylag):
-        if y[0] <= W_FLOOR:
-            raise SimulationError(f"window left the model domain at t={t:.6g}")
-        wl = ylag[0]
-        return ((wl * inv_tau) * gain(y[0], loss(wl)),)
-
-    ys = integrate_dde(rhs, [net.tau], history, cfg.horizon, dt, floor=W_FLOOR)
-    w = ys[0]
-    p = loss_at(loss, w)
-    meta = {
-        "model": f"fluid-single-{regime}",
-        "protocol": asdict(spec),
-        "network": asdict(net),
-        "w_star": eq.w_star,
-        "dt": dt,
-        "horizon": cfg.horizon,
-        "transient_fraction": cfg.transient_fraction,
-    }
-    return Trace(0.0, dt, {"w": w, "p": p}, meta)
+def _integrate(rhs, delays, default_history, cfg, floor=None):
+    """Integrate ``rhs`` under ``cfg``: dt is cfg.dt or min(delays)/STEPS_PER_DELAY
+    and the history cfg.history or ``default_history``.  Returns the samples,
+    dt and the metadata every simulated trace starts from."""
+    dt = min(delays) / STEPS_PER_DELAY if cfg.dt is None else cfg.dt
+    history = default_history if cfg.history is None else cfg.history
+    ys = integrate_dde(rhs, delays, history, cfg.horizon, dt, floor=floor)
+    return ys, dt, {"dt": dt, "horizon": cfg.horizon, "transient_fraction": cfg.transient_fraction}
 
 
-def simulate_fluid_linearized(spec, regime, net, cfg):
-    """Perturbation trajectory of the linearised single-set model."""
-    eq = solve_single(spec, regime, net)
-    a, c = linear_analysis.delay_coefficients(spec, regime, net, eq)
-    dt = cfg.resolve_dt([net.tau])
-    kick = _kick_tuple(cfg.kick, 1)
-    u0 = (kick[0] - 1.0) * eq.w_star
-    if cfg.history is None and u0 == 0.0:
-        u0 = 0.01 * eq.w_star  # a flat zero history would stay identically zero
-    history = _history_fn(cfg, lambda t: (u0,))
+def _fluid_rhs(gain, edges, taus, core):
+    """The fluid window equation w_m' = (w_m(t - tau_m) / tau_m) * gain(w_m, p_m),
+    the one place it is written.  With ``core`` None it is one set behind its
+    edge queue, p = edge(w(t - tau)); otherwise two sets whose edge queues
+    feed the shared core, p_m = min(1, edge_m(w_m(t - tau_m)) + core(rate))
+    with rate = sum_m w_m(t - tau_m) / tau_m.  A window at or below W_FLOOR,
+    the predictor's included, aborts the run."""
+    if core is None:
+        (loss,), (tau,) = edges, taus
+        inv_tau = 1.0 / tau
 
-    def rhs(t, y, ylag):
-        return (-a * y[0] - c * ylag[0],)
+        def rhs(t, y, ylag):
+            if y[0] <= W_FLOOR:
+                raise SimulationError(f"window left the model domain at t={t:.6g}")
+            wl = ylag[0]
+            return ((wl * inv_tau) * gain(y[0], loss(wl)),)
 
-    ys = integrate_dde(rhs, [net.tau], history, cfg.horizon, dt)
-    meta = {
-        "model": f"fluid-linearized-{regime}",
-        "protocol": asdict(spec),
-        "network": asdict(net),
-        "a": a,
-        "c": c,
-        "w_star": eq.w_star,
-        "dt": dt,
-        "horizon": cfg.horizon,
-        "transient_fraction": cfg.transient_fraction,
-    }
-    return Trace(0.0, dt, {"dw": ys[0]}, meta)
-
-
-def simulate_fluid_coupled(spec, regime, net, tau1, tau2, cfg):
-    """Window trajectories of two sets sharing the core queue."""
-    eq1, eq2 = solve_coupled(spec, regime, net, tau1, tau2)
-    dt = cfg.resolve_dt([tau1, tau2])
-    kick = _kick_tuple(cfg.kick, 2)
-    history = _history_fn(cfg, lambda t: (eq1.w_star * kick[0], eq2.w_star * kick[1]))
-    net.require_core()
-    loss1 = edge_loss_fn(regime, net.c_prime, tau1, net.b, net.n_e)
-    loss2 = edge_loss_fn(regime, net.c_prime, tau2, net.b, net.n_e)
-    core = core_loss_fn(regime, net.C_tilde, net.B, net.n_c)
-    gain = window_laws(spec).gain
-    inv1, inv2 = 1.0 / tau1, 1.0 / tau2
+        return rhs
+    loss1, loss2 = edges
+    inv1, inv2 = 1.0 / taus[0], 1.0 / taus[1]
 
     def rhs(t, y, ylag):
         w1, w2 = y
@@ -270,22 +227,58 @@ def simulate_fluid_coupled(spec, regime, net, tau1, tau2, cfg):
         p2 = min(1.0, loss2(w2l) + pc)
         return ((w1l * inv1) * gain(w1, p1), (w2l * inv2) * gain(w2, p2))
 
-    ys = integrate_dde(rhs, [tau1, tau2], history, cfg.horizon, dt, floor=W_FLOOR)
-    w1, w2 = ys
-    p1 = loss_at(loss1, w1)
-    p2 = loss_at(loss2, w2)
-    pc = loss_at(core, w1 / tau1 + w2 / tau2)
-    meta = {
-        "model": f"fluid-coupled-{regime}",
-        "protocol": asdict(spec),
-        "network": asdict(net),
-        "tau1": tau1,
-        "tau2": tau2,
-        "w_star": [eq1.w_star, eq2.w_star],
-        "dt": dt,
-        "horizon": cfg.horizon,
-        "transient_fraction": cfg.transient_fraction,
-    }
+    return rhs
+
+
+def _simulate_fluid(spec, regime, net, taus, w_stars, cfg, name):
+    """Window trajectories of one set (one delay) or of two sets sharing the
+    core (two delays), started on the equilibrium ``w_stars`` scaled by
+    cfg.kick.  Returns the windows, their loss channels (one per edge, then
+    the core's for two sets), dt and the run metadata."""
+    edges = [edge_loss_fn(regime, net.c_prime, tau, net.b, net.n_e) for tau in taus]
+    core = core_loss_fn(regime, net.C_tilde, net.B, net.n_c) if len(taus) == 2 else None
+    w0 = tuple(w * k for w, k in zip(w_stars, _kick_tuple(cfg.kick, len(taus))))
+    rhs = _fluid_rhs(window_laws(spec).gain, edges, taus, core)
+    ys, dt, run = _integrate(rhs, taus, lambda t: w0, cfg, floor=W_FLOOR)
+    losses = [loss_at(loss, w) for loss, w in zip(edges, ys)]
+    if core is not None:
+        losses.append(loss_at(core, ys[0] / taus[0] + ys[1] / taus[1]))
+    meta = {"model": f"fluid-{name}-{regime}", "protocol": asdict(spec), "network": asdict(net)}
+    return ys, losses, dt, meta | run
+
+
+def simulate_fluid_single(spec, regime, net, cfg):
+    """Window trajectory of one set of flows behind its edge queue."""
+    eq = solve_single(spec, regime, net)
+    (w,), (p,), dt, meta = _simulate_fluid(
+        spec, regime, net, [net.tau], [eq.w_star], cfg, "single")
+    return Trace(0.0, dt, {"w": w, "p": p}, meta | {"w_star": eq.w_star})
+
+
+def simulate_fluid_linearized(spec, regime, net, cfg):
+    """Perturbation trajectory of the linearised single-set model."""
+    eq = solve_single(spec, regime, net)
+    a, c = linear_analysis.delay_coefficients(spec, regime, net, eq)
+    kick = _kick_tuple(cfg.kick, 1)
+    u0 = (kick[0] - 1.0) * eq.w_star
+    if cfg.history is None and u0 == 0.0:
+        u0 = 0.01 * eq.w_star  # a flat zero history would stay identically zero
+
+    def rhs(t, y, ylag):
+        return (-a * y[0] - c * ylag[0],)
+
+    ys, dt, run = _integrate(rhs, [net.tau], lambda t: (u0,), cfg)
+    meta = {"model": f"fluid-linearized-{regime}", "protocol": asdict(spec),
+            "network": asdict(net), "a": a, "c": c, "w_star": eq.w_star}
+    return Trace(0.0, dt, {"dw": ys[0]}, meta | run)
+
+
+def simulate_fluid_coupled(spec, regime, net, tau1, tau2, cfg):
+    """Window trajectories of two sets sharing the core queue."""
+    eq1, eq2 = solve_coupled(spec, regime, net, tau1, tau2)
+    (w1, w2), (p1, p2, pc), dt, meta = _simulate_fluid(
+        spec, regime, net, [tau1, tau2], [eq1.w_star, eq2.w_star], cfg, "coupled")
+    meta |= {"tau1": tau1, "tau2": tau2, "w_star": [eq1.w_star, eq2.w_star]}
     return Trace(0.0, dt, {"w1": w1, "w2": w2, "p1": p1, "p2": p2, "p_core": pc}, meta)
 
 
@@ -383,8 +376,6 @@ def simulate_phase_oscillators(params, cfg):
     """Integrate a two-oscillator phase model; returns unwrapped phases plus
     the order-parameter series r(t), psi(t)."""
     om1, om2 = params.omega
-    dt = cfg.resolve_dt(params.tau)
-    history = _history_fn(cfg, lambda t: (om1 * t, om2 * t))
     (m11, m12), (m21, m22) = params.coupling
 
     def rhs(t, y, ylag):
@@ -395,15 +386,10 @@ def simulate_phase_oscillators(params, cfg):
             om2 + m21 * math.sin(l1 - th2) + m22 * math.sin(l2 - th2),
         )
 
-    ys = integrate_dde(rhs, list(params.tau), history, cfg.horizon, dt)
-    th1, th2 = ys
+    (th1, th2), dt, run = _integrate(rhs, params.tau, lambda t: (om1 * t, om2 * t), cfg)
     r, psi = order_parameter(th1, th2)
-    meta = params.as_meta() | {
-        "dt": dt,
-        "horizon": cfg.horizon,
-        "transient_fraction": cfg.transient_fraction,
-    }
-    return Trace(0.0, dt, {"theta1": th1, "theta2": th2, "r": r, "psi": psi}, meta)
+    return Trace(0.0, dt, {"theta1": th1, "theta2": th2, "r": r, "psi": psi},
+                 params.as_meta() | run)
 
 
 def measure_lock(trace, tail_fraction=0.25):

@@ -46,6 +46,19 @@ class LinearSummary:
     K: float = None  # coupling strength, 1/s
 
 
+def _in_float_range(coefficient, queue, n):
+    """``coefficient()``, positive in exact arithmetic, or an UnsupportedConfigError
+    when the ``queue``'s burstiness power ``n`` takes it out of float range."""
+    try:
+        value = coefficient()
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise UnsupportedConfigError(f"{queue} burstiness {n:g} takes the "
+                                     "intermediate-buffer linearisation out of float range")
+    return value
+
+
 def delay_coefficients(spec, regime, net, eq):
     """Coefficients (a, c) of the linearised single-set delay system."""
     i = increase_fn(spec, eq.w_star)
@@ -56,7 +69,9 @@ def delay_coefficients(spec, regime, net, eq):
     elif regime == INTERMEDIATE:
         d = decrease_fn(spec, eq.w_star)
         n = net.n_e
-        c = (i + d) * net.c_prime**n * net.tau ** (n - 1.0) / eq.w_star**n
+        c = _in_float_range(
+            lambda: (i + d) * net.c_prime**n * net.tau ** (n - 1.0) / eq.w_star**n, "edge", n
+        )
     else:
         raise ValueError(f"unknown buffer regime {regime!r}")
     return a, c
@@ -130,7 +145,8 @@ def coupling_strength(spec, regime, net, eq):
     elif regime == INTERMEDIATE:
         d = decrease_fn(spec, eq.w_star)
         nc = net.n_c
-        k = (i + d) * net.C_tilde**nc / (2.0 ** (nc + 1.0) * eq.w_star**nc * net.tau ** (1.0 - nc))
+        k = _in_float_range(lambda: (i + d) * net.C_tilde**nc / (
+            2.0 ** (nc + 1.0) * eq.w_star**nc * net.tau ** (1.0 - nc)), "core", nc)
     else:
         raise ValueError(f"unknown buffer regime {regime!r}")
     return LinearSummary(True, K=k)

@@ -98,7 +98,10 @@ def _drop_tail_fn(regime, cap, buf, n):
 
         return p
     if regime == INTERMEDIATE:
-        capn = cap**n
+        try:
+            capn = cap**n
+        except OverflowError:  # then x**n overflows too for every x > cap
+            capn = float("inf")
 
         def p(x):
             if not x > cap:

@@ -39,6 +39,7 @@ from itertools import count
 
 import numpy as np
 
+from .errors import SimulationError
 from .protocols import COMPOUND, ILLINOIS, RENO, ProtocolSpec
 from .signals import autocorr_period, bandpass
 from .trace import Trace
@@ -293,8 +294,15 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
         return n
 
     # sampling machinery
-    n_qsamples = int(duration / sample_dt) + 1
-    qseries = {r.name: np.zeros(n_qsamples) for r in routers}
+    try:
+        n_qsamples = int(duration / sample_dt) + 1
+        qseries = {r.name: np.zeros(n_qsamples) for r in routers}
+        wseries = {set_id: np.zeros(int(duration / rtt) + 1) for set_id, rtt in set_rtts.items()}
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise SimulationError(
+            f"a run of {duration:g} s sampled every {sample_dt:g} s "
+            f"needs more samples than can be stored ({exc})"
+        ) from None
     conservation = {
         "t": [], "sent": [], "delivered": [], "dropped": [], "in_network": [],
         "base_rtt": [],
@@ -302,11 +310,8 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
     for k in range(n_qsamples):
         heappush(heap, (k * sample_dt, next(tick), "qsample", k))
 
-    wseries = {}
     for set_id, rtt in set_rtts.items():
-        n = int(duration / rtt) + 1
-        wseries[set_id] = np.zeros(n)
-        for k in range(n):
+        for k in range(len(wseries[set_id])):
             heappush(heap, (k * rtt, next(tick), "wsample", (set_id, k)))
 
     for flow in flows:

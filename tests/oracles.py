@@ -9,7 +9,9 @@ the one-row-at-a-time trace writers the streamed ones are held
 byte-identical to, the packet event loop with explicit service events
 that the Lindley routers are held to, and the hand-written bisection loops
 of the equilibrium solvers, the sync scan and the coupling window that the
-shared ``equilibrium.halve`` is held bit-identical to.  Tests compare package results against
+shared ``equilibrium.halve`` is held bit-identical to, and the four
+simulators as each wired its own run before ``dde_sim`` gave them one run
+path and one fluid right-hand side.  Tests compare package results against
 these.
 """
 
@@ -18,13 +20,15 @@ import heapq
 import json
 import math
 from collections import deque
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from tcpsync.equilibrium import BISECT_RTOL, EquilibriumState
+from tcpsync.dde_sim import STEPS_PER_DELAY, W_FLOOR, _kick_tuple, integrate_dde
+from tcpsync.equilibrium import BISECT_RTOL, EquilibriumState, solve_coupled, solve_single
 from tcpsync.errors import NoRootError, SimulationError
-from tcpsync.loss_models import core_loss_fn, edge_loss_fn
+from tcpsync.linear_analysis import delay_coefficients
+from tcpsync.loss_models import core_loss_fn, edge_loss_fn, loss_at
 from tcpsync.packet_sim import DUPACK_DETECT, ScenarioResult, _Flow, _on_ack, _on_loss
 from tcpsync.protocols import window_laws
 from tcpsync.sync_solver import (
@@ -34,6 +38,7 @@ from tcpsync.sync_solver import (
     SCAN_POINTS,
     SyncState,
     _wrap,
+    order_parameter,
 )
 from tcpsync.trace import Trace
 
@@ -786,3 +791,145 @@ def reference_coupling_range(problem, k_values):
         if k_c is not None and k_u is not None:
             break
     return k_c, k_u
+
+
+# --------------------------------------------------------------------------
+# the four simulators as each wired its own step, history, window equation
+# and metadata; ``dde_sim``'s shared run path is held to them bit for bit
+
+
+def _reference_resolve_dt(cfg, delays):
+    return min(delays) / STEPS_PER_DELAY if cfg.dt is None else cfg.dt
+
+
+def _reference_history_fn(cfg, default_fn):
+    return default_fn if cfg.history is None else cfg.history
+
+
+def reference_simulate_fluid_single(spec, regime, net, cfg):
+    """Window trajectory of one set of flows behind its edge queue."""
+    eq = solve_single(spec, regime, net)
+    dt = _reference_resolve_dt(cfg, [net.tau])
+    kick = _kick_tuple(cfg.kick, 1)
+    history = _reference_history_fn(cfg, lambda t: (eq.w_star * kick[0],))
+    loss = edge_loss_fn(regime, net.c_prime, net.tau, net.b, net.n_e)
+    gain = window_laws(spec).gain
+    inv_tau = 1.0 / net.tau
+
+    def rhs(t, y, ylag):
+        if y[0] <= W_FLOOR:
+            raise SimulationError(f"window left the model domain at t={t:.6g}")
+        wl = ylag[0]
+        return ((wl * inv_tau) * gain(y[0], loss(wl)),)
+
+    ys = integrate_dde(rhs, [net.tau], history, cfg.horizon, dt, floor=W_FLOOR)
+    w = ys[0]
+    p = loss_at(loss, w)
+    meta = {
+        "model": f"fluid-single-{regime}",
+        "protocol": asdict(spec),
+        "network": asdict(net),
+        "w_star": eq.w_star,
+        "dt": dt,
+        "horizon": cfg.horizon,
+        "transient_fraction": cfg.transient_fraction,
+    }
+    return Trace(0.0, dt, {"w": w, "p": p}, meta)
+
+
+def reference_simulate_fluid_linearized(spec, regime, net, cfg):
+    """Perturbation trajectory of the linearised single-set model."""
+    eq = solve_single(spec, regime, net)
+    a, c = delay_coefficients(spec, regime, net, eq)
+    dt = _reference_resolve_dt(cfg, [net.tau])
+    kick = _kick_tuple(cfg.kick, 1)
+    u0 = (kick[0] - 1.0) * eq.w_star
+    if cfg.history is None and u0 == 0.0:
+        u0 = 0.01 * eq.w_star  # a flat zero history would stay identically zero
+    history = _reference_history_fn(cfg, lambda t: (u0,))
+
+    def rhs(t, y, ylag):
+        return (-a * y[0] - c * ylag[0],)
+
+    ys = integrate_dde(rhs, [net.tau], history, cfg.horizon, dt)
+    meta = {
+        "model": f"fluid-linearized-{regime}",
+        "protocol": asdict(spec),
+        "network": asdict(net),
+        "a": a,
+        "c": c,
+        "w_star": eq.w_star,
+        "dt": dt,
+        "horizon": cfg.horizon,
+        "transient_fraction": cfg.transient_fraction,
+    }
+    return Trace(0.0, dt, {"dw": ys[0]}, meta)
+
+
+def reference_simulate_fluid_coupled(spec, regime, net, tau1, tau2, cfg):
+    """Window trajectories of two sets sharing the core queue."""
+    eq1, eq2 = solve_coupled(spec, regime, net, tau1, tau2)
+    dt = _reference_resolve_dt(cfg, [tau1, tau2])
+    kick = _kick_tuple(cfg.kick, 2)
+    history = _reference_history_fn(cfg, lambda t: (eq1.w_star * kick[0], eq2.w_star * kick[1]))
+    net.require_core()
+    loss1 = edge_loss_fn(regime, net.c_prime, tau1, net.b, net.n_e)
+    loss2 = edge_loss_fn(regime, net.c_prime, tau2, net.b, net.n_e)
+    core = core_loss_fn(regime, net.C_tilde, net.B, net.n_c)
+    gain = window_laws(spec).gain
+    inv1, inv2 = 1.0 / tau1, 1.0 / tau2
+
+    def rhs(t, y, ylag):
+        w1, w2 = y
+        if w1 <= W_FLOOR or w2 <= W_FLOOR:
+            raise SimulationError(f"window left the model domain at t={t:.6g}")
+        w1l, w2l = ylag
+        pc = core(w1l * inv1 + w2l * inv2)
+        p1 = min(1.0, loss1(w1l) + pc)
+        p2 = min(1.0, loss2(w2l) + pc)
+        return ((w1l * inv1) * gain(w1, p1), (w2l * inv2) * gain(w2, p2))
+
+    ys = integrate_dde(rhs, [tau1, tau2], history, cfg.horizon, dt, floor=W_FLOOR)
+    w1, w2 = ys
+    p1 = loss_at(loss1, w1)
+    p2 = loss_at(loss2, w2)
+    pc = loss_at(core, w1 / tau1 + w2 / tau2)
+    meta = {
+        "model": f"fluid-coupled-{regime}",
+        "protocol": asdict(spec),
+        "network": asdict(net),
+        "tau1": tau1,
+        "tau2": tau2,
+        "w_star": [eq1.w_star, eq2.w_star],
+        "dt": dt,
+        "horizon": cfg.horizon,
+        "transient_fraction": cfg.transient_fraction,
+    }
+    return Trace(0.0, dt, {"w1": w1, "w2": w2, "p1": p1, "p2": p2, "p_core": pc}, meta)
+
+
+def reference_simulate_phase_oscillators(params, cfg):
+    """Integrate a two-oscillator phase model; returns unwrapped phases plus
+    the order-parameter series r(t), psi(t)."""
+    om1, om2 = params.omega
+    dt = _reference_resolve_dt(cfg, params.tau)
+    history = _reference_history_fn(cfg, lambda t: (om1 * t, om2 * t))
+    (m11, m12), (m21, m22) = params.coupling
+
+    def rhs(t, y, ylag):
+        th1, th2 = y
+        l1, l2 = ylag
+        return (
+            om1 + m11 * math.sin(l1 - th1) + m12 * math.sin(l2 - th1),
+            om2 + m21 * math.sin(l1 - th2) + m22 * math.sin(l2 - th2),
+        )
+
+    ys = integrate_dde(rhs, list(params.tau), history, cfg.horizon, dt)
+    th1, th2 = ys
+    r, psi = order_parameter(th1, th2)
+    meta = params.as_meta() | {
+        "dt": dt,
+        "horizon": cfg.horizon,
+        "transient_fraction": cfg.transient_fraction,
+    }
+    return Trace(0.0, dt, {"theta1": th1, "theta2": th2, "r": r, "psi": psi}, meta)

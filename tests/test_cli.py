@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -376,6 +377,41 @@ def test_cli_rejects_malformed_config(tmp_path, command, path, value):
     code, _, err = run_main(command, mutated(BASE_CONFIGS[command], path, value), tmp_path)
     assert code == 1, err
     assert json.loads(err)["error"]["type"] == "config"
+
+
+# runs too large to store (numpy refuses each size before it allocates) and
+# burstiness that takes the linearisation out of float range
+REFUSED = [
+    ("simulate-fluid", ("horizon_s",), 1e15, "fluid-horizon-too-long"),
+    ("simulate-fluid", ("dt_s",), 1e-320, "fluid-step-subnormal"),
+    ("simulate-phase", ("horizon_s",), 1e300, "phase-horizon-too-long"),
+    ("simulate-packets", ("sample_dt_ms",), 1e-320, "packets-sample-step-subnormal"),
+    ("simulate-packets", ("duration_s",), 1e300, "packets-duration-too-long"),
+    ("analyze", ("network", "edge_burstiness"), 130, "edge-burstiness-overflows"),
+    # c'**n stays finite but (i + d) * c'**n does not: the report held Infinity
+    ("analyze", ("network", "edge_burstiness"), 124, "edge-burstiness-product-overflows"),
+    ("analyze", ("network", "core_burstiness"), 150, "core-burstiness-overflows"),
+]
+
+
+@pytest.mark.parametrize("command, path, value", [
+    pytest.param(command, path, value, id=name) for command, path, value, name in REFUSED
+])
+def test_cli_refuses_oversized_run_or_overflowing_burstiness(tmp_path, command, path, value):
+    """Each exits 2 with a JSON numerical error, no traceback."""
+    code, _, err = run_main(command, mutated(BASE_CONFIGS[command], path, value), tmp_path)
+    assert code == 2, err
+    assert json.loads(err)["error"]["type"] == "numerical"
+
+
+def test_sweep_writes_error_row_for_overflowing_burstiness(tmp_path):
+    cfg = {"base": analyze_config(), "param_path": "network.edge_burstiness",
+           "values": [1.0, 150.0]}
+    code, _, err = run_main("sweep", cfg, tmp_path)
+    assert code == 0, err
+    smooth, bursty = csv.DictReader((tmp_path / "run" / "sweep.csv").read_text().splitlines())
+    assert smooth["error"] == "" and float(smooth["Omega"]) > 0.0
+    assert "edge burstiness 150" in bursty["error"] and bursty["Omega"] == ""
 
 
 def config_paths(node, prefix=()):

@@ -10,6 +10,7 @@ from tcpsync.dde_sim import (
     estimate_limit_cycle,
     integrate_dde,
     measure_lock,
+    phase_model_equal,
     phase_model_intermediate_equal,
     phase_model_small_equal,
     phase_model_small_general,
@@ -19,7 +20,7 @@ from tcpsync.dde_sim import (
     simulate_phase_oscillators,
 )
 from tcpsync.equilibrium import solve_single
-from tcpsync.errors import SimulationError
+from tcpsync.errors import SimulationError, TcpSyncError
 from tcpsync.linear_analysis import coupling_strength, delay_coefficients, intrinsic_frequency
 from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER, NetworkParams, core_loss_fn, edge_loss_fn
 from tcpsync.protocols import ProtocolSpec
@@ -27,7 +28,14 @@ from tcpsync.signals import analytic_phase, fit_frequency, local_maxima
 from tcpsync.sync_solver import SyncProblem, order_parameter, solve_sync
 from tcpsync.trace import Trace
 
-from oracles import count_rhp_roots, reference_heun_dde
+from oracles import (
+    count_rhp_roots,
+    reference_heun_dde,
+    reference_simulate_fluid_coupled,
+    reference_simulate_fluid_linearized,
+    reference_simulate_fluid_single,
+    reference_simulate_phase_oscillators,
+)
 
 RENO = ProtocolSpec.reno()
 
@@ -378,6 +386,64 @@ def test_integrate_dde_floor_abort_matches_reference(n_var):
                          floor=0.1)
     assert isinstance(want, str) and f"variable {n_var - 1} hit the positivity floor" in want
     assert got == want
+
+
+def sim_outcome(simulate, *args):
+    """A simulator's trace, or its error as text."""
+    try:
+        return simulate(*args)
+    except TcpSyncError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+SIMULATORS = {
+    "single": (simulate_fluid_single, reference_simulate_fluid_single),
+    "linearized": (simulate_fluid_linearized, reference_simulate_fluid_linearized),
+    "coupled": (simulate_fluid_coupled, reference_simulate_fluid_coupled),
+    "phase": (simulate_phase_oscillators, reference_simulate_phase_oscillators),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SIMULATORS))
+@pytest.mark.parametrize("kick", ["scalar", "tuple", "zero"])
+@pytest.mark.parametrize("given_history", [False, True], ids=["default-history", "history"])
+@settings(max_examples=5)
+@given(
+    spec=st.sampled_from([RENO, ProtocolSpec.compound(), ProtocolSpec.illinois()]),
+    regime=st.sampled_from([SMALL_BUFFER, INTERMEDIATE]),
+    c_prime=st.floats(80.0, 400.0),
+    tau=st.floats(0.05, 0.2),
+    ratio=st.floats(1.0, 1.1),
+    explicit_dt=st.booleans(),
+)
+def test_simulators_match_reference_wiring(model, kick, given_history, spec, regime, c_prime,
+                                           tau, ratio, explicit_dt):
+    """The shared run path gives every simulator the trace its own wiring
+    gave, bit for bit: samples, metadata and error text.  A zero kick starts
+    the fluid windows at 0, which leaves the model domain at t = 0."""
+    taus = (tau, tau * ratio)
+    n_var = 2 if model in ("coupled", "phase") else 1
+    cfg = DdeConfig(
+        horizon=3.0 * taus[1],
+        dt=min(taus) / 97.0 if explicit_dt else None,
+        history=(lambda t: tuple(3.0 + i + 2.0 * t for i in range(n_var))) if given_history else None,
+        kick={"scalar": 1.05, "tuple": (1.03, 0.98)[:n_var], "zero": 0.0}[kick],
+    )
+    net = NetworkParams(c_prime=c_prime, tau=tau, b=15.0, C_tilde=1.97 * c_prime, B=30.0)
+    if model == "phase":
+        problem = SyncProblem(50.0, 50.0 * ratio, 30.0, tau, regime, B=30.0, b=15.0)
+        args = (phase_model_equal(problem, tau2=taus[1]), cfg)
+    elif model == "coupled":
+        args = (spec, regime, net, *taus, cfg)
+    else:
+        args = (spec, regime, net, cfg)
+    got, want = (sim_outcome(simulate, *args) for simulate in SIMULATORS[model])
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.t0, got.dt, got.meta) == (want.t0, want.dt, want.meta)
+    assert got.data.keys() == want.data.keys()
+    assert all(np.array_equal(got.data[k], want.data[k]) for k in want.data)
 
 
 def synthetic_trace(freqs, amps, dt=0.002, n=20000, names=("w1", "w2")):
