@@ -32,6 +32,7 @@ below the critical coupling no locked state exists.  The scan's per-cell
 search and the coupling-window refinement bisect through ``equilibrium.halve``.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -100,8 +101,12 @@ class SyncProblem:
         return equal_gains(self.regime, self.K, self.B, self.b, self.n_c, self.n_e)
 
     def stability_factor(self, Omega):
-        d, s = self.gains()
-        return (d + s) * math.cos(Omega * self.tau)
+        return _stability_factor(*self.gains(), self.tau, Omega)
+
+
+def _stability_factor(d, s, tau, Omega):
+    """(D + S) cos(Omega tau): the locked state is stable iff it is negative."""
+    return (d + s) * math.cos(Omega * tau)
 
 
 @dataclass(frozen=True)
@@ -130,8 +135,7 @@ def _pair_residuals(problem, d, s, Omega, phi):
     return f1, f2
 
 
-def _newton_polish(problem, Omega, phi, scale):
-    d, s = problem.gains()
+def _newton_polish(problem, d, s, Omega, phi, scale):
     tau = problem.tau
     for _ in range(60):
         f1, f2 = _pair_residuals(problem, d, s, Omega, phi)
@@ -165,13 +169,12 @@ def _newton_polish(problem, Omega, phi, scale):
     return Omega, _wrap(phi)
 
 
-def _make_state(problem, Omega, phi):
-    d, s = problem.gains()
+def _make_state(problem, d, s, Omega, phi):
     f1, f2 = _pair_residuals(problem, d, s, Omega, phi)
     detuning = problem.omega2 - problem.omega1
     phase_res = 2.0 * s * math.sin(phi) * math.cos(Omega * problem.tau) - detuning
     norm = 1.0 + abs(Omega)
-    factor = problem.stability_factor(Omega)
+    factor = _stability_factor(d, s, problem.tau, Omega)
     return SyncState(
         Omega=Omega,
         phi0=phi,
@@ -183,26 +186,47 @@ def _make_state(problem, Omega, phi):
     )
 
 
-def _scan_roots(problem, omega_max, n_grid):
-    """Grid-scan both arcsin branches of phi0(Omega), then polish.
+@functools.lru_cache(maxsize=1)
+def _scan_grid(omega_max, n_grid, tau):
+    """The read-only scan grid and its cos and sin of grid * tau; they do
+    not depend on K, so every solve of a coupling sweep shares one copy."""
+    grid = np.linspace(0.0, omega_max, n_grid + 1)[1:]
+    arrays = (grid, np.cos(grid * tau), np.sin(grid * tau))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    Within each contiguous feasible run of the grid the averaged relation
-    G(Omega) = mean(omega) + D sin + S sin cos(phi0) - Omega is sign-scanned;
-    each crossing is bisected and handed to a joint Newton polish of the full
-    steady-state pair.
+
+def _scan_roots(problem, omega_max=None, n_grid=SCAN_POINTS):
+    """Yield the locked states in scan order, each as soon as it is accepted.
+
+    Both arcsin branches of phi0(Omega) are grid-scanned, the cos(phi0) > 0
+    branch first.  Within each contiguous feasible run of the grid the
+    averaged relation G(Omega) = mean(omega) + D sin + S sin cos(phi0) - Omega
+    is sign-scanned; each crossing, in grid order, is bisected and handed to
+    a joint Newton polish of the full steady-state pair, and yielded unless
+    it leaves (0, omega_max] or repeats a root already yielded.  A caller
+    that stops early has seen a prefix of the full root set.
     """
+    omega_bar = 0.5 * (problem.omega1 + problem.omega2)
+    if omega_max is None:
+        omega_max = max(4.0 * omega_bar, 4.0 * math.pi / problem.tau)
+    if problem.K == 0.0:
+        # uncoupled: a common frequency exists only without detuning, and the
+        # phase difference is then undetermined; report the zero representative
+        if problem.omega1 == problem.omega2:
+            yield _make_state(problem, *problem.gains(), problem.omega1, 0.0)
+        return
     d, s = problem.gains()
     detuning = problem.omega2 - problem.omega1
-    omega_bar = 0.5 * (problem.omega1 + problem.omega2)
     tau = problem.tau
     scale = max(1.0, abs(problem.omega1), abs(problem.omega2), abs(s), abs(d))
 
-    grid = np.linspace(0.0, omega_max, n_grid + 1)[1:]
-    cos_ot = np.cos(grid * tau)
-    sin_ot = np.sin(grid * tau)
+    grid, cos_ot, sin_ot = _scan_grid(omega_max, n_grid, tau)
     with np.errstate(divide="ignore", invalid="ignore"):
         sin_phi = detuning / (2.0 * s * cos_ot)
     feasible = np.isfinite(sin_phi) & (np.abs(sin_phi) <= 1.0)
+    ok = feasible[:-1] | feasible[1:]
     # clamping continues the scan function smoothly onto the feasibility
     # boundary |sin phi0| = 1, where saddle-node root pairs sit; crossings
     # found on half-feasible segments are validated by the Newton polish
@@ -218,10 +242,9 @@ def _scan_roots(problem, omega_max, n_grid):
         cp = sign * math.sqrt(max(0.0, 1.0 - sp * sp))
         return sp, omega_bar + d * math.sin(om * tau) + s * math.sin(om * tau) * cp - om
 
-    candidates = []
+    roots = []
     for sign in (+1.0, -1.0):  # cos(phi0) > 0 branch, then the pi-complement
         g = omega_bar + d * sin_ot + sign * s * sin_ot * cos_phi_mag - grid
-        ok = feasible[:-1] | feasible[1:]
         flip = ok & (np.sign(g[:-1]) != np.sign(g[1:]))
         for idx in np.nonzero(flip)[0]:
             # uncapped: a cell is no wider than its low end, so the bracket
@@ -232,34 +255,35 @@ def _scan_roots(problem, omega_max, n_grid):
             om = 0.5 * (lo + hi)
             asin_sp = math.asin(branch_at(om, sign)[0])
             phi = asin_sp if sign > 0 else _wrap(math.pi - asin_sp)
-            candidates.append((om, phi))
-    roots = []
-    for om, phi in candidates:
-        polished = _newton_polish(problem, om, phi, scale)
-        if polished is None:
-            continue
-        om, phi = polished
-        if om <= 0.0 or om > omega_max * (1.0 + 1e-9):
-            continue
-        if any(abs(om - o) <= 1e-7 * (1.0 + abs(o)) and abs(phi - p) <= 1e-6 for o, p in roots):
-            continue
-        roots.append((om, phi))
-    roots.sort()
-    return [_make_state(problem, om, phi) for om, phi in roots]
+            polished = _newton_polish(problem, d, s, om, phi, scale)
+            if polished is None:
+                continue
+            om, phi = polished
+            if om <= 0.0 or om > omega_max * (1.0 + 1e-9):
+                continue
+            if any(abs(om - o) <= 1e-7 * (1.0 + abs(o)) and abs(phi - p) <= 1e-6
+                   for o, p in roots):
+                continue
+            roots.append((om, phi))
+            yield _make_state(problem, d, s, om, phi)
 
 
 def solve_sync(problem, omega_max=None, n_grid=SCAN_POINTS):
-    """All locked states of the oscillator pair, sorted by Omega."""
-    omega_bar = 0.5 * (problem.omega1 + problem.omega2)
-    if omega_max is None:
-        omega_max = max(4.0 * omega_bar, 4.0 * math.pi / problem.tau)
-    if problem.K == 0.0:
-        # uncoupled: a common frequency exists only without detuning, and the
-        # phase difference is then undetermined; report the zero representative
-        if problem.omega1 == problem.omega2:
-            return [_make_state(problem, problem.omega1, 0.0)]
-        return []
-    return _scan_roots(problem, omega_max, n_grid)
+    """All locked states of the oscillator pair, sorted by Omega (then phi0)."""
+    return sorted(_scan_roots(problem, omega_max, n_grid),
+                  key=lambda st: (st.Omega, st.phi0))
+
+
+def _lock_verdict(problem):
+    """(locked, stable): whether a locked state exists and whether one is
+    stable, as the full ``solve_sync`` list says; the scan stops at the
+    first stable state."""
+    locked = False
+    for st in _scan_roots(problem):
+        if st.stable:
+            return True, True
+        locked = True
+    return locked, False
 
 
 def select_state(states):
@@ -279,34 +303,37 @@ def coupling_range(problem, k_values):
     Transitions between adjacent sweep points are sharpened by
     ``REFINE_STEPS`` halvings, except K_u when K_c was refined inside
     the same sweep step: K_u is then the next sweep point, unrefined.
+    Each verdict stops its scan early: at the first locked state for K_c,
+    at the first stable one for K_u.
     """
     ks = sorted(float(k) for k in k_values)
     if not ks:
         raise ValueError("empty coupling sweep")
 
-    def roots_at(k):
-        return solve_sync(replace(problem, K=k))
+    def locks(k):
+        return next(_scan_roots(replace(problem, K=k)), None) is not None
 
-    def none_stable(states):
-        return bool(states) and not any(st.stable for st in states)
+    def verdict(k):
+        """(locked, every locked state unstable) at coupling k."""
+        locked, stable = _lock_verdict(replace(problem, K=k))
+        return locked, locked and not stable
 
     k_c = None
     k_u = None
     prev_k = None
     prev_all_unstable = None
     for k in ks:
-        states = roots_at(k)
-        all_unstable = none_stable(states)
-        if k_c is None and states:
+        locked, all_unstable = verdict(k)
+        if k_c is None and locked:
             if prev_k is None:
                 k_c = k
             else:
-                k_c = halve(lambda kk: not roots_at(kk), prev_k, k, steps=REFINE_STEPS)[1]
+                k_c = halve(lambda kk: not locks(kk), prev_k, k, steps=REFINE_STEPS)[1]
         if k_c is not None and k > k_c and k_u is None and all_unstable:
             if prev_all_unstable or prev_k < k_c:
                 k_u = k
             else:
-                k_u = halve(lambda kk: not none_stable(roots_at(kk)), prev_k, k,
+                k_u = halve(lambda kk: not verdict(kk)[1], prev_k, k,
                             steps=REFINE_STEPS)[1]
         prev_k, prev_all_unstable = k, all_unstable
         if k_c is not None and k_u is not None:

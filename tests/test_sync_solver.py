@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER, NetworkParams
 from tcpsync.protocols import ProtocolSpec
 from tcpsync.sync_solver import (
     SyncProblem,
+    _lock_verdict,
     coupling_range,
     order_parameter,
     select_state,
@@ -312,10 +314,26 @@ def _dimensioning(capacity_pkts, n_flows):
     return float(max(1, round(capacity_pkts * 0.250 / math.sqrt(n_flows))))
 
 
+def analyze_problem(spec, regime, c_prime, factor, rtt1, rtt2, b, B):
+    """The SyncProblem that ``tcpsync analyze`` builds, or None when a set
+    has no intrinsic frequency."""
+    fields = dict(c_prime=c_prime, b=b, C_tilde=factor * c_prime, B=B)
+    omegas = []
+    for tau in (rtt1, rtt2):
+        net = NetworkParams(tau=tau, **fields)
+        summary = intrinsic_frequency(spec, regime, net, solve_single(spec, regime, net))
+        if not (summary.feasible and summary.omega):
+            return None
+        omegas.append(summary.omega)
+    net = NetworkParams(tau=0.5 * (rtt1 + rtt2), **fields)
+    K = coupling_strength(spec, regime, net, solve_single(spec, regime, net)).K
+    return SyncProblem(omegas[0], omegas[1], K, net.tau, regime, B=B, b=b)
+
+
 @st.composite
 def analyze_problems(draw):
-    """The SyncProblem that ``tcpsync analyze`` builds, over the parameter box
-    of the analyze benchmark workload; infeasible draws are rejected."""
+    """``analyze_problem`` over the parameter box of the analyze benchmark
+    workload; infeasible draws are rejected."""
     spec = draw(st.sampled_from([ProtocolSpec.compound(), ProtocolSpec.reno(),
                                  ProtocolSpec.illinois()]))
     regime = draw(st.sampled_from([SMALL_BUFFER, INTERMEDIATE]))
@@ -328,16 +346,9 @@ def analyze_problems(draw):
     else:
         b = _dimensioning(10.0 * c_prime, 10)
         B = _dimensioning(10.0 * factor * c_prime, 20)
-    fields = dict(c_prime=c_prime, b=b, C_tilde=factor * c_prime, B=B)
-    omegas = []
-    for tau in (rtt1, rtt2):
-        net = NetworkParams(tau=tau, **fields)
-        summary = intrinsic_frequency(spec, regime, net, solve_single(spec, regime, net))
-        assume(summary.feasible and summary.omega)
-        omegas.append(summary.omega)
-    net = NetworkParams(tau=0.5 * (rtt1 + rtt2), **fields)
-    K = coupling_strength(spec, regime, net, solve_single(spec, regime, net)).K
-    return SyncProblem(omegas[0], omegas[1], K, net.tau, regime, B=B, b=b)
+    problem = analyze_problem(spec, regime, c_prime, factor, rtt1, rtt2, b, B)
+    assume(problem is not None)
+    return problem
 
 
 @settings(max_examples=60)
@@ -355,3 +366,37 @@ def test_coupling_range_matches_reference_refine(problem):
     the former ``refine`` closure, bit for bit."""
     ks = np.linspace(0.0, 40.0, 9)
     assert repr(coupling_range(problem, ks)) == repr(reference_coupling_range(problem, ks))
+
+
+@settings(max_examples=15)
+@given(problem=analyze_problems())
+def test_lazy_verdict_matches_full_solve(problem):
+    """At each K of a short analyze sweep the solve equals the reference scan,
+    and the verdict that stops at the first stable root says what the full
+    root list says: whether a state locks, and whether one is stable."""
+    for k in np.linspace(0.0, 40.0, 9):
+        p = replace(problem, K=float(k))
+        states = solve_sync(p)
+        assert repr(states) == repr(reference_solve_sync(p))
+        assert _lock_verdict(p) == (bool(states), any(st.stable for st in states))
+
+
+@pytest.mark.parametrize("problem, window", [
+    # the README analyze config: K_c refined, K_u open
+    (analyze_problem(ProtocolSpec.compound(), INTERMEDIATE, 300.0, 1.97, 0.1, 0.11,
+                     50.0, 100.0), (0.029722224061504085, None)),
+    # detuned toy: K_c refined inside the step whose end is the unrefined K_u
+    (inter_problem(omega1=50.0, omega2=51.0, K=0.0), (2.7023868821050177, 3.037974683544304)),
+    # zero detuning: K_c = 0, then every root unstable at the next point
+    (inter_problem(omega1=50.0, omega2=50.0, K=0.0), (0.0, 0.5063291139240507)),
+    # self-interaction outweighing the cross term (b/n_e > B/n_c)
+    (small_problem(omega1=22.0, omega2=22.0, K=0.0, B=10.0, b=12.0, tau=0.1),
+     (0.0, 0.5063291139240507)),
+], ids=["readme", "toy-detuned", "zero-detuning", "small-buffer-upper-edge"])
+def test_coupling_range_full_sweep_matches_reference(problem, window):
+    """Over the full analyze sweep the lazy verdicts give the window of the
+    eager reference, bit for bit."""
+    ks = np.linspace(0.0, 40.0, 80)
+    got = coupling_range(problem, ks)
+    assert repr(got) == repr(reference_coupling_range(problem, ks))
+    assert got == window
