@@ -12,7 +12,12 @@ delay at least m = min_i floor(tau_i / dt) steps, the next m steps read only
 samples already stored, so each variable's interpolated lag series for the
 block is computed in one numpy expression before the block is stepped.  The
 expression rounds exactly as a per-step read would, so block size never
-changes a trace.
+changes a trace.  Every model here couples its variables only through
+delayed values, so a model is given in split form: ``terms`` turns a block's
+lags into one row per sample and variable (all the lag-only work, such as
+the fluid loss laws, done once per sample), and variable i's derivative
+``rhs[i](y_i, row)`` reads only its own current value.  Each variable is then
+stepped through the block on its own, in one scalar Heun loop.
 
 Systems covered, all with one delayed read per variable (variable i is read
 back at t - tau_i):
@@ -95,37 +100,20 @@ def _kick_tuple(kick, n_var):
     return vals
 
 
-def _heun_stages(n_var, dt, floor):
-    """Predictor y + dt*k1, corrector y + dt/2*(k1 + k2) and the floor test
-    (None without a floor) on state tuples, unrolled for the one- and
-    two-variable systems of this module."""
-    half = 0.5 * dt
-    if n_var == 1:
-        return (
-            lambda y, k: (y[0] + dt * k[0],),
-            lambda y, k1, k2: (y[0] + half * (k1[0] + k2[0]),),
-            None if floor is None else lambda y: y[0] <= floor,
-        )
-    if n_var == 2:
-        return (
-            lambda y, k: (y[0] + dt * k[0], y[1] + dt * k[1]),
-            lambda y, k1, k2: (y[0] + half * (k1[0] + k2[0]), y[1] + half * (k1[1] + k2[1])),
-            None if floor is None else lambda y: y[0] <= floor or y[1] <= floor,
-        )
-    rng = range(n_var)
-    return (
-        lambda y, k: tuple(y[i] + dt * k[i] for i in rng),
-        lambda y, k1, k2: tuple(y[i] + half * (k1[i] + k2[i]) for i in rng),
-        None if floor is None else lambda y: any(v <= floor for v in y),
-    )
+def integrate_dde(rhs, terms, delays, history, horizon, dt, floor=None):
+    """Heun integration of y_i' = rhs[i](y_i, row_i), the rows built from the
+    delayed values ylag_j = y_j(t - tau_j).
 
-
-def integrate_dde(rhs, delays, history, horizon, dt, floor=None):
-    """Heun integration of y_i' = rhs(t, y, ylag)_i with ylag_i = y_i(t - tau_i).
-
-    ``history`` is a callable t -> tuple for t <= 0.  Requires 0 < dt <= min(tau).
-    Returns an array of shape (n_var, n_steps + 1) sampled on t = 0 .. horizon.
-    A variable at or below ``floor`` (when given) after a step aborts the run.
+    Structural requirement: variable i's derivative reads only its own current
+    value y_i and its row; the variables couple only through delayed values.
+    Per block of m steps, ``terms(t, lags)`` receives the block's m + 1 sample
+    times t = (n0 .. n0 + m) * dt and one array of interpolated lags per
+    variable, and returns one list of m + 1 rows per variable; row k serves
+    the stage at t[k].  ``history`` is a callable t -> tuple for t <= 0.
+    Requires 0 < dt <= min(tau).  Returns an array of shape (n_var, n_steps + 1)
+    sampled on t = 0 .. horizon.  With a ``floor``, a variable at or below it at
+    t = 0, in a predictor or after a step aborts the run at the earliest such
+    (step, stage, variable).
     """
     if not dt > 0.0 or not all(tau > 0.0 for tau in delays):
         raise SimulationError(
@@ -142,7 +130,7 @@ def integrate_dde(rhs, delays, history, horizon, dt, floor=None):
         joffs = [int(math.floor(off)) for off in offs]
         n_hist = max(joffs) + 2
         n_steps = int(round(horizon / dt))
-        store = np.empty((n_hist + 1 + n_steps, n_var))
+        store = np.empty((n_var, n_hist + 1 + n_steps))
     except (OverflowError, ValueError, MemoryError) as exc:
         raise SimulationError(
             f"a horizon of {horizon:g} s at step dt={dt:g} with delays {list(delays)} "
@@ -151,83 +139,89 @@ def integrate_dde(rhs, delays, history, horizon, dt, floor=None):
     fracs = [off - j for off, j in zip(offs, joffs)]
     for k in range(n_hist + 1):
         vals = history((k - n_hist) * dt)
-        store[k] = [float(vals[i]) for i in range(n_var)]
+        store[:, k] = [float(vals[i]) for i in range(n_var)]
 
-    predict, correct, below = _heun_stages(n_var, dt, floor)
-    y = tuple(store[n_hist].tolist())
+    bound = math.nan if floor is None else floor  # nothing compares <= NaN
+    ys = store[:, n_hist].tolist()
+    for i, y in enumerate(ys):
+        if y <= bound:
+            raise SimulationError(f"variable {i} starts at or below the positivity floor at t=0")
+    half = 0.5 * dt
     block = min(joffs)
     for n0 in range(0, n_steps, block):
         m = min(block, n_steps - n0)
-        # lags at t = (n0 .. n0 + m) * dt read only rows stored before n0
+        # lags at t = (n0 .. n0 + m) * dt read only samples stored before n0
         lags = []
         for i in range(n_var):
             lo = n_hist + n0 - joffs[i]
-            lag = store[lo : lo + m + 1, i]
+            lag = store[i, lo : lo + m + 1]
             if fracs[i] != 0.0:
-                lag = lag * (1.0 - fracs[i]) + store[lo - 1 : lo + m, i] * fracs[i]
-            lags.append(lag.tolist())
-        series = zip(*lags)
-        lag1 = next(series)
-        rows = []
-        for n, lag2 in enumerate(series, n0):
-            t = n * dt
-            k1 = rhs(t, y, lag1)
-            k2 = rhs(t + dt, predict(y, k1), lag2)
-            y = correct(y, k1, k2)
-            if below is not None and below(y):
-                i = next(i for i, v in enumerate(y) if v <= floor)
-                raise SimulationError(
-                    f"variable {i} hit the positivity floor at t={t + dt:.6g}; "
-                    f"the step dt={dt:g} is too large for this trajectory"
-                )
-            rows.append(y)
-            lag1 = lag2
-        store[n_hist + n0 + 1 : n_hist + n0 + 1 + m] = rows
-    return np.ascontiguousarray(store[n_hist:].T)
+                lag = lag * (1.0 - fracs[i]) + store[i, lo - 1 : lo + m] * fracs[i]
+            lags.append(lag)
+        hits = []
+        for i, (f, rows) in enumerate(zip(rhs, terms(np.arange(n0, n0 + m + 1) * dt, lags))):
+            y, out = ys[i], []
+            rows = iter(rows)
+            a = next(rows)
+            for b in rows:
+                k1 = f(y, a)
+                pred = y + dt * k1
+                if pred <= bound:
+                    hits.append((n0 + len(out), 0, i))
+                    break
+                y = y + half * (k1 + f(pred, b))
+                if y <= bound:
+                    hits.append((n0 + len(out), 1, i))
+                    break
+                out.append(y)
+                a = b
+            ys[i] = y
+            store[i, n_hist + n0 + 1 : n_hist + n0 + 1 + len(out)] = out
+        if hits:
+            n, _, i = min(hits)
+            raise SimulationError(
+                f"variable {i} hit the positivity floor at t={n * dt + dt:.6g}; "
+                f"the step dt={dt:g} is too large for this trajectory"
+            )
+    return np.ascontiguousarray(store[:, n_hist:])
 
 
-def _integrate(rhs, delays, default_history, cfg, floor=None):
-    """Integrate ``rhs`` under ``cfg``: dt is cfg.dt or min(delays)/STEPS_PER_DELAY
-    and the history cfg.history or ``default_history``.  Returns the samples,
-    dt and the metadata every simulated trace starts from."""
+def _integrate(rhs, terms, delays, default_history, cfg, floor=None):
+    """Integrate ``rhs`` and ``terms`` under ``cfg``: dt is cfg.dt or
+    min(delays)/STEPS_PER_DELAY and the history cfg.history or
+    ``default_history``.  Returns the samples, dt and the metadata every
+    simulated trace starts from."""
     dt = min(delays) / STEPS_PER_DELAY if cfg.dt is None else cfg.dt
     history = default_history if cfg.history is None else cfg.history
-    ys = integrate_dde(rhs, delays, history, cfg.horizon, dt, floor=floor)
+    ys = integrate_dde(rhs, terms, delays, history, cfg.horizon, dt, floor=floor)
     return ys, dt, {"dt": dt, "horizon": cfg.horizon, "transient_fraction": cfg.transient_fraction}
 
 
 def _fluid_rhs(gain, edges, taus, core):
     """The fluid window equation w_m' = (w_m(t - tau_m) / tau_m) * gain(w_m, p_m),
-    the one place it is written.  With ``core`` None it is one set behind its
-    edge queue, p = edge(w(t - tau)); otherwise two sets whose edge queues
-    feed the shared core, p_m = min(1, edge_m(w_m(t - tau_m)) + core(rate))
-    with rate = sum_m w_m(t - tau_m) / tau_m.  A window at or below W_FLOOR,
-    the predictor's included, aborts the run."""
-    if core is None:
-        (loss,), (tau,) = edges, taus
-        inv_tau = 1.0 / tau
+    the one place it is written: each set's right-hand side c * gain(w, p) on
+    the rows (c, p) = (w_m(t - tau_m) / tau_m, p_m), and the terms that build
+    the rows, so every loss law runs once per lag sample.  With ``core`` None
+    it is one set behind its edge queue, p = edge(w(t - tau)); otherwise two
+    sets whose edge queues feed the shared core,
+    p_m = min(1, edge_m(w_m(t - tau_m)) + core(rate)) with
+    rate = sum_m w_m(t - tau_m) / tau_m."""
 
-        def rhs(t, y, ylag):
-            if y[0] <= W_FLOOR:
-                raise SimulationError(f"window left the model domain at t={t:.6g}")
-            wl = ylag[0]
-            return ((wl * inv_tau) * gain(y[0], loss(wl)),)
+    def rhs(w, row):
+        c, p = row
+        return c * gain(w, p)
 
-        return rhs
-    loss1, loss2 = edges
-    inv1, inv2 = 1.0 / taus[0], 1.0 / taus[1]
+    invs = [1.0 / tau for tau in taus]
 
-    def rhs(t, y, ylag):
-        w1, w2 = y
-        if w1 <= W_FLOOR or w2 <= W_FLOOR:
-            raise SimulationError(f"window left the model domain at t={t:.6g}")
-        w1l, w2l = ylag
-        pc = core(w1l * inv1 + w2l * inv2)
-        p1 = min(1.0, loss1(w1l) + pc)
-        p2 = min(1.0, loss2(w2l) + pc)
-        return ((w1l * inv1) * gain(w1, p1), (w2l * inv2) * gain(w2, p2))
+    def terms(t, lags):
+        rates = [lag * inv for lag, inv in zip(lags, invs)]
+        ps = [map(loss, lag.tolist()) for loss, lag in zip(edges, lags)]
+        if core is not None:
+            pc = list(map(core, (rates[0] + rates[1]).tolist()))
+            ps = [[min(1.0, e + q) for e, q in zip(p, pc)] for p in ps]
+        return [list(zip(rate.tolist(), p)) for rate, p in zip(rates, ps)]
 
-    return rhs
+    return [rhs] * len(taus), terms
 
 
 def _simulate_fluid(spec, regime, net, taus, w_stars, cfg, name):
@@ -238,8 +232,8 @@ def _simulate_fluid(spec, regime, net, taus, w_stars, cfg, name):
     edges = [edge_loss_fn(regime, net.c_prime, tau, net.b, net.n_e) for tau in taus]
     core = core_loss_fn(regime, net.C_tilde, net.B, net.n_c) if len(taus) == 2 else None
     w0 = tuple(w * k for w, k in zip(w_stars, _kick_tuple(cfg.kick, len(taus))))
-    rhs = _fluid_rhs(window_laws(spec).gain, edges, taus, core)
-    ys, dt, run = _integrate(rhs, taus, lambda t: w0, cfg, floor=W_FLOOR)
+    rhs, terms = _fluid_rhs(window_laws(spec).gain, edges, taus, core)
+    ys, dt, run = _integrate(rhs, terms, taus, lambda t: w0, cfg, floor=W_FLOOR)
     losses = [loss_at(loss, w) for loss, w in zip(edges, ys)]
     if core is not None:
         losses.append(loss_at(core, ys[0] / taus[0] + ys[1] / taus[1]))
@@ -264,10 +258,11 @@ def simulate_fluid_linearized(spec, regime, net, cfg):
     if cfg.history is None and u0 == 0.0:
         u0 = 0.01 * eq.w_star  # a flat zero history would stay identically zero
 
-    def rhs(t, y, ylag):
-        return (-a * y[0] - c * ylag[0],)
+    def rhs(u, lag_term):
+        return -a * u - lag_term
 
-    ys, dt, run = _integrate(rhs, [net.tau], lambda t: (u0,), cfg)
+    ys, dt, run = _integrate([rhs], lambda t, lags: [(c * lags[0]).tolist()], [net.tau],
+                             lambda t: (u0,), cfg)
     meta = {"model": f"fluid-linearized-{regime}", "protocol": asdict(spec),
             "network": asdict(net), "a": a, "c": c, "w_star": eq.w_star}
     return Trace(0.0, dt, {"dw": ys[0]}, meta | run)
@@ -376,17 +371,18 @@ def simulate_phase_oscillators(params, cfg):
     """Integrate a two-oscillator phase model; returns unwrapped phases plus
     the order-parameter series r(t), psi(t)."""
     om1, om2 = params.omega
-    (m11, m12), (m21, m22) = params.coupling
 
-    def rhs(t, y, ylag):
-        th1, th2 = y
-        l1, l2 = ylag
-        return (
-            om1 + m11 * math.sin(l1 - th1) + m12 * math.sin(l2 - th1),
-            om2 + m21 * math.sin(l1 - th2) + m22 * math.sin(l2 - th2),
-        )
+    def oscillator(om, m1, m2):
+        def rhs(th, lag_pair):
+            l1, l2 = lag_pair
+            return om + m1 * math.sin(l1 - th) + m2 * math.sin(l2 - th)
 
-    (th1, th2), dt, run = _integrate(rhs, params.tau, lambda t: (om1 * t, om2 * t), cfg)
+        return rhs
+
+    rhs = [oscillator(om, *row) for om, row in zip(params.omega, params.coupling)]
+    ys, dt, run = _integrate(rhs, lambda t, lags: [list(zip(*(lag.tolist() for lag in lags)))] * 2,
+                             params.tau, lambda t: (om1 * t, om2 * t), cfg)
+    th1, th2 = ys
     r, psi = order_parameter(th1, th2)
     return Trace(0.0, dt, {"theta1": th1, "theta2": th2, "r": r, "psi": psi},
                  params.as_meta() | run)

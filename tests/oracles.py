@@ -5,7 +5,8 @@ the package's own numerics: plain bisection, brute-force grid searches, an
 argument-principle root counter for delay characteristic functions,
 symbolic differentiation, the sync solver's former per-regime stability
 rule, the per-step Heun loop the DDE integrator is held bit-identical to,
-the one-row-at-a-time trace writers the streamed ones are held
+the block integrator as it stepped the whole state per call, the
+one-row-at-a-time trace writers the streamed ones are held
 byte-identical to, the packet event loop with explicit service events
 that the Lindley routers are held to, and the hand-written bisection loops
 of the equilibrium solvers, the sync scan and the coupling window that the
@@ -24,7 +25,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from tcpsync.dde_sim import STEPS_PER_DELAY, W_FLOOR, _kick_tuple, integrate_dde
+from tcpsync.dde_sim import STEPS_PER_DELAY, W_FLOOR, _kick_tuple
 from tcpsync.equilibrium import BISECT_RTOL, EquilibriumState, solve_coupled, solve_single
 from tcpsync.errors import NoRootError, SimulationError
 from tcpsync.linear_analysis import delay_coefficients
@@ -235,8 +236,9 @@ def aimd_sawtooth_period(capacity, buffer_pkts, base_rtt):
 
 def reference_heun_dde(rhs, delays, history, horizon, dt, floor=None):
     """Per-step Heun loop with scalar delayed reads, the reference for
-    ``dde_sim.integrate_dde``: same arguments, same operations in the same
-    order, so the two agree bit for bit."""
+    ``dde_sim.integrate_dde``: one rhs(t, y, ylag) for the whole state in
+    place of the split rhs and terms, and otherwise the same arguments and
+    the same operations in the same order, so the two agree bit for bit."""
     n_var = len(delays)
     offs = [tau / dt for tau in delays]
     if min(offs) < 1.0:
@@ -287,6 +289,103 @@ def reference_heun_dde(rhs, delays, history, horizon, dt, floor=None):
         for i in idx_rng:
             cols[i][idx + 1] = y[i]
     return np.array([col[base:] for col in cols])
+
+
+# --------------------------------------------------------------------------
+# the block integrator as it stepped the whole state per call, with one
+# rhs(t, y, ylag) and unrolled stage lambdas; the four reference simulators
+# run on it, so their traces keep the wiring they had
+
+
+def _reference_heun_stages(n_var, dt, floor):
+    """Predictor y + dt*k1, corrector y + dt/2*(k1 + k2) and the floor test
+    (None without a floor) on state tuples, unrolled for the one- and
+    two-variable systems of this module."""
+    half = 0.5 * dt
+    if n_var == 1:
+        return (
+            lambda y, k: (y[0] + dt * k[0],),
+            lambda y, k1, k2: (y[0] + half * (k1[0] + k2[0]),),
+            None if floor is None else lambda y: y[0] <= floor,
+        )
+    if n_var == 2:
+        return (
+            lambda y, k: (y[0] + dt * k[0], y[1] + dt * k[1]),
+            lambda y, k1, k2: (y[0] + half * (k1[0] + k2[0]), y[1] + half * (k1[1] + k2[1])),
+            None if floor is None else lambda y: y[0] <= floor or y[1] <= floor,
+        )
+    rng = range(n_var)
+    return (
+        lambda y, k: tuple(y[i] + dt * k[i] for i in rng),
+        lambda y, k1, k2: tuple(y[i] + half * (k1[i] + k2[i]) for i in rng),
+        None if floor is None else lambda y: any(v <= floor for v in y),
+    )
+
+
+def reference_integrate_dde(rhs, delays, history, horizon, dt, floor=None):
+    """Heun integration of y_i' = rhs(t, y, ylag)_i with ylag_i = y_i(t - tau_i).
+
+    ``history`` is a callable t -> tuple for t <= 0.  Requires 0 < dt <= min(tau).
+    Returns an array of shape (n_var, n_steps + 1) sampled on t = 0 .. horizon.
+    A variable at or below ``floor`` (when given) after a step aborts the run.
+    """
+    if not dt > 0.0 or not all(tau > 0.0 for tau in delays):
+        raise SimulationError(
+            f"step dt={dt:g} and delays {list(delays)} must all be positive"
+        )
+    n_var = len(delays)
+    offs = [tau / dt for tau in delays]
+    if min(offs) < 1.0:
+        raise SimulationError(
+            f"step dt={dt:g} exceeds the smallest delay {min(delays):g}; "
+            "delayed reads would need extrapolation"
+        )
+    try:
+        joffs = [int(math.floor(off)) for off in offs]
+        n_hist = max(joffs) + 2
+        n_steps = int(round(horizon / dt))
+        store = np.empty((n_hist + 1 + n_steps, n_var))
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise SimulationError(
+            f"a horizon of {horizon:g} s at step dt={dt:g} with delays {list(delays)} "
+            f"needs more samples than can be stored ({exc})"
+        ) from None
+    fracs = [off - j for off, j in zip(offs, joffs)]
+    for k in range(n_hist + 1):
+        vals = history((k - n_hist) * dt)
+        store[k] = [float(vals[i]) for i in range(n_var)]
+
+    predict, correct, below = _reference_heun_stages(n_var, dt, floor)
+    y = tuple(store[n_hist].tolist())
+    block = min(joffs)
+    for n0 in range(0, n_steps, block):
+        m = min(block, n_steps - n0)
+        # lags at t = (n0 .. n0 + m) * dt read only rows stored before n0
+        lags = []
+        for i in range(n_var):
+            lo = n_hist + n0 - joffs[i]
+            lag = store[lo : lo + m + 1, i]
+            if fracs[i] != 0.0:
+                lag = lag * (1.0 - fracs[i]) + store[lo - 1 : lo + m, i] * fracs[i]
+            lags.append(lag.tolist())
+        series = zip(*lags)
+        lag1 = next(series)
+        rows = []
+        for n, lag2 in enumerate(series, n0):
+            t = n * dt
+            k1 = rhs(t, y, lag1)
+            k2 = rhs(t + dt, predict(y, k1), lag2)
+            y = correct(y, k1, k2)
+            if below is not None and below(y):
+                i = next(i for i, v in enumerate(y) if v <= floor)
+                raise SimulationError(
+                    f"variable {i} hit the positivity floor at t={t + dt:.6g}; "
+                    f"the step dt={dt:g} is too large for this trajectory"
+                )
+            rows.append(y)
+            lag1 = lag2
+        store[n_hist + n0 + 1 : n_hist + n0 + 1 + m] = rows
+    return np.ascontiguousarray(store[n_hist:].T)
 
 
 def reference_write_csv(trace, path):
@@ -822,7 +921,7 @@ def reference_simulate_fluid_single(spec, regime, net, cfg):
         wl = ylag[0]
         return ((wl * inv_tau) * gain(y[0], loss(wl)),)
 
-    ys = integrate_dde(rhs, [net.tau], history, cfg.horizon, dt, floor=W_FLOOR)
+    ys = reference_integrate_dde(rhs, [net.tau], history, cfg.horizon, dt, floor=W_FLOOR)
     w = ys[0]
     p = loss_at(loss, w)
     meta = {
@@ -851,7 +950,7 @@ def reference_simulate_fluid_linearized(spec, regime, net, cfg):
     def rhs(t, y, ylag):
         return (-a * y[0] - c * ylag[0],)
 
-    ys = integrate_dde(rhs, [net.tau], history, cfg.horizon, dt)
+    ys = reference_integrate_dde(rhs, [net.tau], history, cfg.horizon, dt)
     meta = {
         "model": f"fluid-linearized-{regime}",
         "protocol": asdict(spec),
@@ -889,7 +988,7 @@ def reference_simulate_fluid_coupled(spec, regime, net, tau1, tau2, cfg):
         p2 = min(1.0, loss2(w2l) + pc)
         return ((w1l * inv1) * gain(w1, p1), (w2l * inv2) * gain(w2, p2))
 
-    ys = integrate_dde(rhs, [tau1, tau2], history, cfg.horizon, dt, floor=W_FLOOR)
+    ys = reference_integrate_dde(rhs, [tau1, tau2], history, cfg.horizon, dt, floor=W_FLOOR)
     w1, w2 = ys
     p1 = loss_at(loss1, w1)
     p2 = loss_at(loss2, w2)
@@ -924,7 +1023,7 @@ def reference_simulate_phase_oscillators(params, cfg):
             om2 + m21 * math.sin(l1 - th2) + m22 * math.sin(l2 - th2),
         )
 
-    ys = integrate_dde(rhs, list(params.tau), history, cfg.horizon, dt)
+    ys = reference_integrate_dde(rhs, list(params.tau), history, cfg.horizon, dt)
     th1, th2 = ys
     r, psi = order_parameter(th1, th2)
     meta = params.as_meta() | {

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcpsync.dde_sim import (
+    W_FLOOR,
     DdeConfig,
+    _fluid_rhs,
     estimate_limit_cycle,
     integrate_dde,
     measure_lock,
@@ -23,7 +26,7 @@ from tcpsync.equilibrium import solve_single
 from tcpsync.errors import SimulationError, TcpSyncError
 from tcpsync.linear_analysis import coupling_strength, delay_coefficients, intrinsic_frequency
 from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER, NetworkParams, core_loss_fn, edge_loss_fn
-from tcpsync.protocols import ProtocolSpec
+from tcpsync.protocols import ProtocolSpec, window_laws
 from tcpsync.signals import analytic_phase, fit_frequency, local_maxima
 from tcpsync.sync_solver import SyncProblem, order_parameter, solve_sync
 from tcpsync.trace import Trace
@@ -307,9 +310,14 @@ def test_phase_general_reduces_to_equal_form():
     assert np.allclose(gen_params_i.coupling, eq_params_i.coupling, rtol=1e-12)
 
 
+def zero_model(n_var):
+    """Right-hand sides and terms of y' = 0 in ``n_var`` variables."""
+    return [lambda y, row: 0.0] * n_var, lambda t, lags: [lag.tolist() for lag in lags]
+
+
 def test_integrator_rejects_oversized_step():
     with pytest.raises(SimulationError):
-        integrate_dde(lambda t, y, yl: (0.0,), [0.01], lambda t: (1.0,), 1.0, 0.02)
+        integrate_dde(*zero_model(1), [0.01], lambda t: (1.0,), 1.0, 0.02)
 
 
 @pytest.mark.parametrize("delays, dt", [
@@ -321,24 +329,59 @@ def test_integrator_rejects_oversized_step():
 def test_integrator_rejects_non_positive_step_or_delay(delays, dt):
     n_var = len(delays)
     with pytest.raises(SimulationError):
-        integrate_dde(lambda t, y, yl: (0.0,) * n_var, delays, lambda t: (1.0,) * n_var, 1.0, dt)
+        integrate_dde(*zero_model(n_var), delays, lambda t: (1.0,) * n_var, 1.0, dt)
 
 
-def ring_rhs(n_var):
-    """Each variable relaxes and is driven by its neighbour's delayed value."""
+def ring_model(n_var):
+    """Each variable relaxes and is driven by its neighbour's delayed value:
+    y_i' = -0.8 y_i + sin(y_{i+1}(t - tau_{i+1}) + t), in split form."""
 
-    def rhs(t, y, ylag):
-        return tuple(-0.8 * y[i] + math.sin(ylag[(i + 1) % n_var] + t) for i in range(n_var))
+    def terms(t, lags):
+        return [list(map(math.sin, (lags[(i + 1) % n_var] + t).tolist())) for i in range(n_var)]
 
-    return rhs
+    return [lambda y, drive: -0.8 * y + drive] * n_var, terms
 
 
-def run_both(rhs, delays, history, horizon, dt, floor=None):
+def floor_model(n_var):
+    """The last variable falls as -50 y(t - tau); variable 0 (when there are
+    two or more) is NaN after one step, and the others stay put."""
+
+    def terms(t, lags):
+        return [(-50.0 * lag).tolist() for lag in lags]
+
+    head = [lambda y, row: float("nan")] if n_var > 1 else []
+    return head + [lambda y, row: 0.0] * (n_var - 2) + [lambda y, row: row], terms
+
+
+def whole_state_rhs(rhs, terms, dt, floor):
+    """The split form as one rhs(t, y, ylag) for the per-step reference loop.
+    Each call builds one-sample rows at the sample time it stands for (the
+    loop passes n * dt + dt where the blocks pass (n + 1) * dt), and with a
+    floor a stage input at or below it aborts with the integrator's text."""
+
+    def full(t, y, ylag):
+        for i, v in enumerate(y):
+            if floor is not None and v <= floor:
+                raise SimulationError(
+                    f"variable {i} hit the positivity floor at t={t:.6g}; "
+                    f"the step dt={dt:g} is too large for this trajectory"
+                )
+        rows = terms(np.array([round(t / dt) * dt]), [np.array([v]) for v in ylag])
+        return tuple(f(v, row[0]) for f, v, row in zip(rhs, y, rows))
+
+    return full
+
+
+def run_both(model, delays, history, horizon, dt, floor=None):
     """Outcomes of integrate_dde and the reference loop: array or error text."""
     outcomes = []
-    for fn in (integrate_dde, reference_heun_dde):
+    for run in (
+        lambda: integrate_dde(*model, delays, history, horizon, dt, floor=floor),
+        lambda: reference_heun_dde(whole_state_rhs(*model, dt, floor), delays, history,
+                                   horizon, dt, floor=floor),
+    ):
         try:
-            outcomes.append(fn(rhs, delays, history, horizon, dt, floor=floor))
+            outcomes.append(run())
         except SimulationError as exc:
             outcomes.append(str(exc))
     return outcomes
@@ -355,19 +398,26 @@ def run_both(rhs, delays, history, horizon, dt, floor=None):
     off_grid=st.floats(0.0, 0.49),
     y0=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
     constant=st.booleans(),
+    floor_gap=st.one_of(st.none(), st.floats(0.01, 1.0)),
 )
 def test_integrate_dde_matches_reference_loop(n_var, dt, offsets, n_steps, off_grid, y0,
-                                              constant):
+                                              constant, floor_gap):
     """Bit-identical to the per-step loop for arities 1-3, integer, fractional
     and unequal delays (dt == tau gives one-step blocks), horizons off the
-    block and step grids, empty runs, and constant or ramped histories."""
+    block and step grids, empty runs, constant or ramped histories, and a
+    floor (below the start) that the first crossing over (step, stage,
+    variable) trips."""
     delays = [off * dt for off in offsets[:n_var]]
     if constant:
         history = lambda t: tuple(y0[:n_var])
     else:
         history = lambda t: tuple(v + (i + 1.5) * t for i, v in enumerate(y0[:n_var]))
-    got, want = run_both(ring_rhs(n_var), delays, history, (n_steps + off_grid) * dt, dt)
-    assert not isinstance(want, str), want
+    floor = None if floor_gap is None else min(y0[:n_var]) - floor_gap
+    got, want = run_both(ring_model(n_var), delays, history, (n_steps + off_grid) * dt, dt,
+                         floor=floor)
+    if isinstance(want, str):
+        assert got == want
+        return
     assert got.shape == want.shape == (n_var, n_steps + 1)
     assert got.flags.c_contiguous
     assert np.array_equal(got, want)
@@ -377,23 +427,52 @@ def test_integrate_dde_matches_reference_loop(n_var, dt, offsets, n_steps, off_g
 def test_integrate_dde_floor_abort_matches_reference(n_var):
     """The last variable falls through the floor; a NaN in variable 0 does
     not trip it, so the message names the last variable, as the loop does."""
-
-    def rhs(t, y, ylag):
-        head = (float("nan"),) if n_var > 1 else ()
-        return head + (0.0,) * (n_var - 2) + (-50.0 * ylag[-1],)
-
-    got, want = run_both(rhs, [0.02, 0.013, 0.01][:n_var], lambda t: (1.0,) * n_var, 1.0, 0.005,
-                         floor=0.1)
+    got, want = run_both(floor_model(n_var), [0.02, 0.013, 0.01][:n_var],
+                         lambda t: (1.0,) * n_var, 1.0, 0.005, floor=0.1)
     assert isinstance(want, str) and f"variable {n_var - 1} hit the positivity floor" in want
     assert got == want
 
 
+def test_integrate_dde_rejects_start_at_floor():
+    with pytest.raises(SimulationError, match="variable 1 starts at or below"):
+        integrate_dde(*zero_model(2), [0.1, 0.1], lambda t: (1.0, 0.0), 1.0, 0.01, floor=0.0)
+
+
+def test_coupled_fluid_evaluates_each_loss_law_once_per_lag_sample():
+    """Each edge closure and the core closure run once per sample of each
+    block, N + (number of blocks) times over N steps, not twice per step."""
+    net, eq = coupled_net()
+    taus, dt, n_steps = (0.1005, 0.1032), 0.1005 / 60, 500
+    calls = {}
+
+    def counted(name, law):
+        def wrapped(x):
+            calls[name] = calls.get(name, 0) + 1
+            return law(x)
+
+        return wrapped
+
+    edges = [counted(f"edge{m}", edge_loss_fn(SMALL_BUFFER, net.c_prime, tau, net.b, net.n_e))
+             for m, tau in enumerate(taus)]
+    core = counted("core", core_loss_fn(SMALL_BUFFER, net.C_tilde, net.B, net.n_c))
+    rhs, terms = _fluid_rhs(window_laws(RENO).gain, edges, taus, core)
+    ys = integrate_dde(rhs, terms, taus, lambda t: (eq.w_star, eq.w_star), n_steps * dt, dt,
+                       floor=W_FLOOR)
+    assert ys.shape == (2, n_steps + 1)
+    n_blocks = -(-n_steps // min(math.floor(tau / dt) for tau in taus))
+    assert calls == {"edge0": n_steps + n_blocks, "edge1": n_steps + n_blocks,
+                     "core": n_steps + n_blocks}
+
+
 def sim_outcome(simulate, *args):
-    """A simulator's trace, or its error as text."""
+    """A simulator's trace, or its error: the type and, for an abort at a
+    time, that time (the reference wiring words its floor aborts in its own
+    text)."""
     try:
         return simulate(*args)
     except TcpSyncError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        at = re.search(r"at t=([^;\s]+)", str(exc))
+        return type(exc).__name__, at.group(1) if at else str(exc)
 
 
 SIMULATORS = {
@@ -419,8 +498,9 @@ SIMULATORS = {
 def test_simulators_match_reference_wiring(model, kick, given_history, spec, regime, c_prime,
                                            tau, ratio, explicit_dt):
     """The shared run path gives every simulator the trace its own wiring
-    gave, bit for bit: samples, metadata and error text.  A zero kick starts
-    the fluid windows at 0, which leaves the model domain at t = 0."""
+    gave, bit for bit: samples and metadata, or an error of the same type at
+    the same time.  A zero kick starts the fluid windows at 0, which leaves
+    the model domain at t = 0."""
     taus = (tau, tau * ratio)
     n_var = 2 if model in ("coupled", "phase") else 1
     cfg = DdeConfig(
@@ -438,12 +518,31 @@ def test_simulators_match_reference_wiring(model, kick, given_history, spec, reg
     else:
         args = (spec, regime, net, cfg)
     got, want = (sim_outcome(simulate, *args) for simulate in SIMULATORS[model])
-    if isinstance(want, str):
+    if isinstance(want, tuple):
         assert got == want
         return
     assert (got.t0, got.dt, got.meta) == (want.t0, want.dt, want.meta)
     assert got.data.keys() == want.data.keys()
     assert all(np.array_equal(got.data[k], want.data[k]) for k in want.data)
+
+
+@pytest.mark.parametrize("model", ["single", "coupled"])
+@pytest.mark.parametrize("spec", [RENO, ProtocolSpec.compound(), ProtocolSpec.illinois()],
+                         ids=["reno", "compound", "illinois"])
+def test_simulators_abort_where_a_predictor_crosses_the_floor(model, spec):
+    """A step of a full delay from a deep kick sends a predictor below zero,
+    where Reno's 1/w would divide by zero and Compound's w**(k - 1) turn
+    complex; both paths abort with a SimulationError at the same time, and
+    the reference names it as a stage-input (predictor) check."""
+    net = NetworkParams(c_prime=107.0, tau=0.1, b=15.0, C_tilde=1.97 * 107.0, B=30.0)
+    cfg = DdeConfig(horizon=5.0, dt=0.1, kick=50.0)
+    args = (spec, SMALL_BUFFER, net, *((0.1, 0.1) if model == "coupled" else ()), cfg)
+    simulate, reference = SIMULATORS[model]
+    got = sim_outcome(simulate, *args)
+    with pytest.raises(SimulationError, match="window left the model domain"):
+        reference(*args)
+    assert got == sim_outcome(reference, *args)
+    assert got[0] == "SimulationError"
 
 
 def synthetic_trace(freqs, amps, dt=0.002, n=20000, names=("w1", "w2")):
