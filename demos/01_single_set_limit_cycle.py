@@ -28,7 +28,7 @@ traces = {}
 for c_prime in (250.0, 107.0):  # pkts/s per flow: calm vs past the boundary
     net = NetworkParams(c_prime=c_prime, tau=tau, b=b)
     eq = solve_single(spec, SMALL_BUFFER, net)
-    omega = intrinsic_frequency(spec, SMALL_BUFFER, net, eq).omega
+    omega = intrinsic_frequency(spec, SMALL_BUFFER, net, eq)
     a, c = delay_coefficients(spec, SMALL_BUFFER, net, eq)
     stable = critical_delay(a, c) is None or tau < critical_delay(a, c)
     print(f"{c_prime:8.1f} {eq.w_star:8.3f} {eq.p_edge_star:9.5f} "

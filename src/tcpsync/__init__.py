@@ -17,7 +17,6 @@ from .errors import (
     UnsupportedConfigError,
 )
 from .linear_analysis import (
-    LinearSummary,
     closed_form_coupling,
     closed_form_frequency,
     coupling_strength,

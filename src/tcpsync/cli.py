@@ -236,21 +236,21 @@ def cmd_analyze(cfg):
     omegas = []
     for net_m in set_nets:
         eq = solve_single(spec, regime, net_m)
-        summary = intrinsic_frequency(spec, regime, net_m, eq)
-        if not summary.feasible or not summary.omega:
+        omega = intrinsic_frequency(spec, regime, net_m, eq)
+        if not omega:
             raise UnsupportedConfigError(
                 "intrinsic frequency infeasible: the radicand of the "
                 "linearised model is not positive (buffer-per-batch ratio "
                 "must exceed the equilibrium damping factor)"
             )
-        omegas.append(summary.omega)
+        omegas.append(omega)
         per_set.append(
             {
                 "rtt_ms": net_m.tau * 1000.0,
                 "w_star_pkts": eq.w_star,
                 "p_edge": eq.p_edge_star,
                 "residual": eq.residual,
-                "omega_rad_per_s": summary.omega,
+                "omega_rad_per_s": omega,
             }
         )
 
@@ -277,14 +277,15 @@ def cmd_analyze(cfg):
     }
 
     eq_bar = solve_single(spec, regime, net)
-    k = coupling_strength(spec, regime, net, eq_bar).K
+    k = coupling_strength(spec, regime, net, eq_bar)
     report["coupling"] = {"K_per_s": k, "regime": regime}
 
-    problem = SyncProblem(
-        omegas[0], omegas[1], k, net.tau, regime,
+    problem = _checked(
+        SyncProblem, omegas[0], omegas[1], k, net.tau, regime,
         B=net.B, b=net.b, n_c=net.n_c, n_e=net.n_e,
+        omega_max=omega_max,
     )
-    states = solve_sync(problem, omega_max=omega_max)
+    states = solve_sync(problem)
     report["sync"] = {
         "roots": [
             {

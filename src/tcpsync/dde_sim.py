@@ -106,10 +106,11 @@ def integrate_dde(rhs, terms, delays, history, horizon, dt, floor=None):
 
     Structural requirement: variable i's derivative reads only its own current
     value y_i and its row; the variables couple only through delayed values.
-    Per block of m steps, ``terms(t, lags)`` receives the block's m + 1 sample
-    times t = (n0 .. n0 + m) * dt and one array of interpolated lags per
-    variable, and returns one list of m + 1 rows per variable; row k serves
-    the stage at t[k].  ``history`` is a callable t -> tuple for t <= 0.
+    The model is autonomous: per block of m steps from step n0,
+    ``terms(lags)`` receives one array of m + 1 interpolated lags per
+    variable, at t = (n0 .. n0 + m) * dt, and returns one list of m + 1 rows
+    per variable; row k serves the stage at step n0 + k.  ``history`` is a
+    callable t -> tuple for t <= 0.
     Requires 0 < dt <= min(tau).  Returns an array of shape (n_var, n_steps + 1)
     sampled on t = 0 .. horizon.  With a ``floor``, a variable at or below it at
     t = 0, in a predictor or after a step aborts the run at the earliest such
@@ -159,7 +160,7 @@ def integrate_dde(rhs, terms, delays, history, horizon, dt, floor=None):
                 lag = lag * (1.0 - fracs[i]) + store[i, lo - 1 : lo + m] * fracs[i]
             lags.append(lag)
         hits = []
-        for i, (f, rows) in enumerate(zip(rhs, terms(np.arange(n0, n0 + m + 1) * dt, lags))):
+        for i, (f, rows) in enumerate(zip(rhs, terms(lags))):
             y, out = ys[i], []
             rows = iter(rows)
             a = next(rows)
@@ -213,7 +214,7 @@ def _fluid_rhs(gain, edges, taus, core):
 
     invs = [1.0 / tau for tau in taus]
 
-    def terms(t, lags):
+    def terms(lags):
         rates = [lag * inv for lag, inv in zip(lags, invs)]
         ps = [map(loss, lag.tolist()) for loss, lag in zip(edges, lags)]
         if core is not None:
@@ -261,7 +262,7 @@ def simulate_fluid_linearized(spec, regime, net, cfg):
     def rhs(u, lag_term):
         return -a * u - lag_term
 
-    ys, dt, run = _integrate([rhs], lambda t, lags: [(c * lags[0]).tolist()], [net.tau],
+    ys, dt, run = _integrate([rhs], lambda lags: [(c * lags[0]).tolist()], [net.tau],
                              lambda t: (u0,), cfg)
     meta = {"model": f"fluid-linearized-{regime}", "protocol": asdict(spec),
             "network": asdict(net), "a": a, "c": c, "w_star": eq.w_star}
@@ -380,7 +381,7 @@ def simulate_phase_oscillators(params, cfg):
         return rhs
 
     rhs = [oscillator(om, *row) for om, row in zip(params.omega, params.coupling)]
-    ys, dt, run = _integrate(rhs, lambda t, lags: [list(zip(*(lag.tolist() for lag in lags)))] * 2,
+    ys, dt, run = _integrate(rhs, lambda lags: [list(zip(*(lag.tolist() for lag in lags)))] * 2,
                              params.tau, lambda t: (om1 * t, om2 * t), cfg)
     th1, th2 = ys
     r, psi = order_parameter(th1, th2)
@@ -409,7 +410,7 @@ def measure_lock(trace, tail_fraction=0.25):
     drift = fit_frequency(phi, dt)
     phi0 = float(np.angle(np.mean(np.exp(1j * phi))))
     spread = float(np.std(phi - drift * dt * np.arange(len(phi))))
-    r_mean = float(np.mean(tail["r"])) if "r" in tail else float("nan")
+    r_mean = float(np.mean(tail["r"]))
     locked = abs(drift) < 1e-3 * max(abs(omega), 1e-12) and spread < 0.01
     return {
         "Omega": omega,
@@ -421,7 +422,7 @@ def measure_lock(trace, tail_fraction=0.25):
     }
 
 
-_PARTNERS = {"w1": "w2", "w2": "w1", "theta1": "theta2", "theta2": "theta1"}
+_PARTNERS = {"w1": "w2", "w2": "w1"}
 
 
 def estimate_limit_cycle(trace, variable):
@@ -429,8 +430,9 @@ def estimate_limit_cycle(trace, variable):
 
     The leading ``transient_fraction`` of the trace (from its metadata,
     default 0.25) is discarded.  ``locked`` is True only when the channel has
-    a partner set (w1/w2 or theta1/theta2) whose dominant frequency agrees
-    within 1% and the mean order parameter of the pair exceeds 0.95.
+    a partner set (w1/w2 of a coupled fluid trace) whose dominant frequency
+    agrees within 1% and the mean order parameter of the two channels'
+    analytic phases exceeds 0.95.
     Raises ValueError when the trace is too short to cover
     ``MIN_CYCLE_PERIODS`` of the detected cycle, naming the horizon that
     would suffice.
@@ -456,11 +458,6 @@ def estimate_limit_cycle(trace, variable):
     if partner is not None and partner in tail:
         freq2 = dominant_frequency(tail[partner], trace.dt)
         if freq2 > 0.0 and abs(freq - freq2) <= 0.01 * max(freq, freq2):
-            if "r" in tail:
-                r_mean = float(np.mean(tail["r"]))
-            else:
-                ph1 = analytic_phase(x)
-                ph2 = analytic_phase(tail[partner])
-                r_mean = float(np.mean(order_parameter(ph1, ph2)[0]))
-            locked = r_mean > 0.95
+            r = order_parameter(analytic_phase(x), analytic_phase(tail[partner]))[0]
+            locked = float(np.mean(r)) > 0.95
     return {"amplitude": amplitude, "frequency": freq, "locked": locked}

@@ -26,24 +26,17 @@ between their limit cycles carries a coupling strength:
     small buffers:        K_s = i(w*) / (tau * (1 + p_edge/p_core))
     intermediate buffers: K_i = (i+d) * C~^n_c / (2^(n_c+1) w*^n_c tau^(1-n_c))
 
-Infeasible frequency radicands are reported as data (``feasible=False``)
-rather than raised, so parameter sweeps can chart the feasibility boundary.
+An infeasible frequency radicand (c <= |a|) is reported as data, an
+intrinsic frequency of None, rather than raised, so parameter sweeps can
+chart the feasibility boundary.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import UnsupportedConfigError
 from .loss_models import INTERMEDIATE, SMALL_BUFFER, core_loss, edge_loss
 from .protocols import COMPOUND, RENO, decrease_fn, g_factor, increase_fn
 from .sync_solver import equal_gains
-
-
-@dataclass(frozen=True)
-class LinearSummary:
-    feasible: bool
-    omega: float = None  # intrinsic frequency, rad/s (None when radicand < 0)
-    K: float = None  # coupling strength, 1/s
 
 
 def _in_float_range(coefficient, queue, n):
@@ -78,14 +71,10 @@ def delay_coefficients(spec, regime, net, eq):
 
 
 def intrinsic_frequency(spec, regime, net, eq):
-    """Intrinsic limit-cycle frequency of one set, from the generic radicand."""
+    """Intrinsic limit-cycle frequency (rad/s) of one set: the crossing
+    frequency of its linearisation, or None when c <= |a| and there is none."""
     a, c = delay_coefficients(spec, regime, net, eq)
-    radicand = c * c - a * a
-    if radicand > 0.0:
-        return LinearSummary(True, omega=math.sqrt(radicand))
-    if radicand == 0.0:
-        return LinearSummary(False, omega=0.0)
-    return LinearSummary(False, omega=None)
+    return crossing_frequency(a, c) if c > abs(a) else None
 
 
 def closed_form_frequency(spec, regime, w_star, p_star, tau, b=None, n=1.0):
@@ -127,7 +116,7 @@ def closed_form_frequency(spec, regime, w_star, p_star, tau, b=None, n=1.0):
 
 
 def coupling_strength(spec, regime, net, eq):
-    """Coupling strength of two equally-coupled sets sharing the core.
+    """Coupling strength K (1/s) of two equally-coupled sets sharing the core.
 
     ``eq`` is the per-set equilibrium of the symmetric configuration (both
     sets at the same operating point, round-trip time ``net.tau``).
@@ -149,7 +138,7 @@ def coupling_strength(spec, regime, net, eq):
             2.0 ** (nc + 1.0) * eq.w_star**nc * net.tau ** (1.0 - nc)), "core", nc)
     else:
         raise ValueError(f"unknown buffer regime {regime!r}")
-    return LinearSummary(True, K=k)
+    return k
 
 
 def closed_form_coupling(spec, regime, w_star, tau=None, b=None, B=None,
@@ -201,7 +190,7 @@ def coupled_symmetric_coefficients(spec, regime, net, eq):
     ``critical_delay``.  ``eq`` should be the symmetric coupled equilibrium.
     """
     a, c = delay_coefficients(spec, regime, net, eq)
-    k = coupling_strength(spec, regime, net, eq).K
+    k = coupling_strength(spec, regime, net, eq)
     d, s = equal_gains(regime, k, net.B, net.b, net.n_c, net.n_e)
     return a, c + d, s
 

@@ -418,7 +418,7 @@ def queue_oscillation(trace, rtt_mean, buffer_pkts):
     half = len(y) // 2
     first, second = float(np.ptp(y[:half])), float(np.ptp(y[half:]))
     persistence = second / first if first > 0 else 0.0
-    period, coherence = autocorr_period(occ, dt, w_lo, w_hi)
+    period, coherence = autocorr_period(y, dt, w_lo, w_hi)
     sustained = (
         amplitude >= max(OSC_MIN_AMPLITUDE, OSC_BUFFER_FRACTION * buffer_pkts)
         and persistence >= 0.5

@@ -77,11 +77,12 @@ def bandpass(x, dt, w_lo, w_hi):
     return np.fft.irfft(spec, n=len(x))
 
 
-def autocorr_period(x, dt, w_lo, w_hi):
-    """Cycle period from the first autocorrelation peak of the band-passed
-    signal, searched between the band's own period limits.  Returns
-    (period_s, peak_correlation); (nan, 0) when no interior peak exists."""
-    y = bandpass(x, dt, w_lo, w_hi)
+def autocorr_period(y, dt, w_lo, w_hi):
+    """Cycle period from the autocorrelation of ``y``, a series already
+    band-passed to (w_lo, w_hi) rad/s: the highest local peak between the
+    band's own period limits, else the largest value there.  Returns
+    (period_s, peak_correlation); (nan, 0) when ``y`` is flat or the lag
+    range is empty."""
     if not np.any(y):
         return float("nan"), 0.0
     ac = np.correlate(y, y, "full")[len(y) - 1 :]

@@ -76,6 +76,8 @@ class SyncProblem:
     Intrinsic frequencies must be weakly detuned (the reduction assumes the
     two round-trip times are nearly equal, with ``tau`` their common value).
     Small-buffer problems also carry the core/edge buffer-per-batch ratios.
+    ``omega_max`` bounds the frequency scan, (0, omega_max]; None selects
+    (0, max(4 mean(omega), 4 pi / tau)].
     """
 
     omega1: float
@@ -87,6 +89,7 @@ class SyncProblem:
     b: float = None
     n_c: float = 1.0
     n_e: float = 1.0
+    omega_max: float = None
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -95,6 +98,8 @@ class SyncProblem:
             raise ValueError("coupling strength must be non-negative")
         if not (self.n_c >= 1 and self.n_e >= 1):
             raise ValueError("core and edge burstiness must be >= 1")
+        if self.omega_max is not None and not self.omega_max > 0:
+            raise ValueError("omega_max must be positive")
 
     def gains(self):
         """(D, S): net self-interaction and cross-interaction gains."""
@@ -197,7 +202,7 @@ def _scan_grid(omega_max, n_grid, tau):
     return arrays
 
 
-def _scan_roots(problem, omega_max=None, n_grid=SCAN_POINTS):
+def _scan_roots(problem, n_grid=SCAN_POINTS):
     """Yield the locked states in scan order, each as soon as it is accepted.
 
     Both arcsin branches of phi0(Omega) are grid-scanned, the cos(phi0) > 0
@@ -205,10 +210,11 @@ def _scan_roots(problem, omega_max=None, n_grid=SCAN_POINTS):
     averaged relation G(Omega) = mean(omega) + D sin + S sin cos(phi0) - Omega
     is sign-scanned; each crossing, in grid order, is bisected and handed to
     a joint Newton polish of the full steady-state pair, and yielded unless
-    it leaves (0, omega_max] or repeats a root already yielded.  A caller
+    it leaves (0, problem.omega_max] or repeats a root already yielded.  A caller
     that stops early has seen a prefix of the full root set.
     """
     omega_bar = 0.5 * (problem.omega1 + problem.omega2)
+    omega_max = problem.omega_max
     if omega_max is None:
         omega_max = max(4.0 * omega_bar, 4.0 * math.pi / problem.tau)
     if problem.K == 0.0:
@@ -268,9 +274,9 @@ def _scan_roots(problem, omega_max=None, n_grid=SCAN_POINTS):
             yield _make_state(problem, d, s, om, phi)
 
 
-def solve_sync(problem, omega_max=None, n_grid=SCAN_POINTS):
+def solve_sync(problem, n_grid=SCAN_POINTS):
     """All locked states of the oscillator pair, sorted by Omega (then phi0)."""
-    return sorted(_scan_roots(problem, omega_max, n_grid),
+    return sorted(_scan_roots(problem, n_grid),
                   key=lambda st: (st.Omega, st.phi0))
 
 
@@ -304,7 +310,8 @@ def coupling_range(problem, k_values):
     ``REFINE_STEPS`` halvings, except K_u when K_c was refined inside
     the same sweep step: K_u is then the next sweep point, unrefined.
     Each verdict stops its scan early: at the first locked state for K_c,
-    at the first stable one for K_u.
+    at the first stable one for K_u.  Every scan covers the problem's own
+    frequency range, ``problem.omega_max``.
     """
     ks = sorted(float(k) for k in k_values)
     if not ks:

@@ -836,9 +836,11 @@ def reference_scan_roots(problem, omega_max, n_grid):
     return [_reference_make_state(problem, om, phi) for om, phi in roots]
 
 
-def reference_solve_sync(problem, omega_max=None, n_grid=SCAN_POINTS):
-    """``sync_solver.solve_sync`` over ``reference_scan_roots``."""
+def reference_solve_sync(problem, n_grid=SCAN_POINTS):
+    """``sync_solver.solve_sync`` over ``reference_scan_roots``, on the
+    problem's ``omega_max`` range."""
     omega_bar = 0.5 * (problem.omega1 + problem.omega2)
+    omega_max = problem.omega_max
     if omega_max is None:
         omega_max = max(4.0 * omega_bar, 4.0 * math.pi / problem.tau)
     if problem.K == 0.0:

@@ -78,13 +78,13 @@ def test_criterion_1_closed_form_equivalence():
                 b = float(rng.uniform(3.0, 40.0))
                 net, eq = constructed_equilibrium(spec, regime, w, tau, b)
                 generic = intrinsic_frequency(spec, regime, net, eq)
-                if not generic.feasible:
+                if not generic:
                     # both paths must agree on infeasibility; redraw
                     with pytest.raises(ValueError):
                         closed_form_frequency(spec, regime, w, eq.p_edge_star, tau, b=b)
                     continue
                 closed = closed_form_frequency(spec, regime, w, eq.p_edge_star, tau, b=b)
-                assert abs(generic.omega - closed) <= 1e-9 * closed
+                assert abs(generic - closed) <= 1e-9 * closed
                 checked += 1
     for spec in SPECS:
         for _ in range(1000):
@@ -93,7 +93,7 @@ def test_criterion_1_closed_form_equivalence():
             c_tilde = float(rng.uniform(100.0, 5000.0))
             net = NetworkParams(c_prime=100.0, tau=tau, b=10.0, C_tilde=c_tilde, B=50.0)
             eq = EquilibriumState(w, 0.01, 0.0, 0.0)
-            generic = coupling_strength(spec, INTERMEDIATE, net, eq).K
+            generic = coupling_strength(spec, INTERMEDIATE, net, eq)
             closed = closed_form_coupling(spec, INTERMEDIATE, w, C_tilde=c_tilde)
             assert abs(generic - closed) <= 1e-12 * closed
     elapsed = time.perf_counter() - t0

@@ -14,8 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tcpsync.cli import cmd_analyze, cmd_simulate_packets, cmd_sweep, main
+from tcpsync.loss_models import INTERMEDIATE
 from tcpsync.presets import get_preset, preset_names
-from tcpsync.units import mbps_to_pkts_per_s
+from tcpsync.sync_solver import SyncProblem
+from tcpsync.units import mbps_to_pkts_per_s, ms_to_s
+
+from oracles import reference_coupling_range
 
 
 def analyze_config(**over):
@@ -79,6 +83,21 @@ def test_analyze_report_roundtrip():
     rep1 = cmd_analyze(analyze_config())
     rep2 = cmd_analyze(json.loads(json.dumps(rep1["config"])))
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+
+
+def test_analyze_coupling_window_scans_the_configured_range():
+    """``sync.omega_max`` bounds the coupling-window scans as it bounds the
+    root list.  Over (0, 100] rad/s the README config has no locked state
+    below K of about 28.7; the default range would give K_c = 0.0297."""
+    rep = cmd_analyze({**README_ANALYZE, "sync": {"omega_max": 100.0}})
+    assert all(r["Omega_rad_per_s"] <= 100.0 for r in rep["sync"]["roots"])
+    assert rep["coupling_range"]["K_c"] > 28.0
+    om1, om2 = (s["omega_rad_per_s"] for s in rep["per_set"])
+    tau = 0.5 * (ms_to_s(100.0) + ms_to_s(110.0))
+    problem = SyncProblem(om1, om2, rep["coupling"]["K_per_s"], tau, INTERMEDIATE,
+                          B=100.0, b=50.0, omega_max=100.0)
+    k_c, k_u = reference_coupling_range(problem, np.linspace(0.0, 40.0, 80))
+    assert rep["coupling_range"] == {"K_c": k_c, "K_u": k_u}
 
 
 def test_sweep_coherence_monotone(tmp_path):
@@ -341,6 +360,8 @@ REJECTED = [
     ("analyze", (), [README_ANALYZE], "config-is-a-list"),
     ("analyze", ("sync",), 3, "sync-not-an-object"),
     ("analyze", ("sync",), {"omega_max": "x"}, "omega-max-not-a-number"),
+    ("analyze", ("sync",), {"omega_max": 0}, "omega-max-zero"),
+    ("analyze", ("sync",), {"omega_max": -1}, "omega-max-negative"),
     ("analyze", ("coupling_sweep", "count"), 0, "coupling-sweep-count-zero"),
     ("analyze", ("network", "edge_buffer_pkts"), "inf", "edge-buffer-infinite"),
     ("analyze", ("coupling_sweep", "to"), "nan", "coupling-sweep-to-nan"),

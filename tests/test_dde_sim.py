@@ -90,7 +90,7 @@ def test_unstable_point_oscillates_at_predicted_frequency():
     ct = 0.96 * boundary_ctau()
     net = NetworkParams(c_prime=ct / 0.1, tau=0.1, b=15)
     eq = solve_single(RENO, SMALL_BUFFER, net)
-    omega = intrinsic_frequency(RENO, SMALL_BUFFER, net, eq).omega
+    omega = intrinsic_frequency(RENO, SMALL_BUFFER, net, eq)
     tr = simulate_fluid_single(RENO, SMALL_BUFFER, net, DdeConfig(horizon=60.0, kick=1.05))
     est = estimate_limit_cycle(tr, "w")
     assert est["amplitude"] > 0.05
@@ -121,7 +121,7 @@ def test_linearized_marginal_point_frequency():
     ct = boundary_ctau()
     net = NetworkParams(c_prime=ct / 0.1, tau=0.1, b=15)
     eq = solve_single(RENO, SMALL_BUFFER, net)
-    omega = intrinsic_frequency(RENO, SMALL_BUFFER, net, eq).omega
+    omega = intrinsic_frequency(RENO, SMALL_BUFFER, net, eq)
     tr = simulate_fluid_linearized(RENO, SMALL_BUFFER, net, DdeConfig(horizon=60.0, kick=1.01))
     tail = tr.tail(0.25)["dw"]
     ph = analytic_phase(tail)
@@ -181,11 +181,11 @@ def test_coupled_detuned_locks_near_predicted_frequency():
     common frequency matches a stable locked-state root within 5%."""
     tau1, tau2 = 0.1, 0.101
     net, e0 = coupled_net()
-    k_s = coupling_strength(RENO, SMALL_BUFFER, net, e0).K
+    k_s = coupling_strength(RENO, SMALL_BUFFER, net, e0)
 
     def omega_of(tau):
         n = NetworkParams(c_prime=net.c_prime, tau=tau, b=net.b)
-        return intrinsic_frequency(RENO, SMALL_BUFFER, n, solve_single(RENO, SMALL_BUFFER, n)).omega
+        return intrinsic_frequency(RENO, SMALL_BUFFER, n, solve_single(RENO, SMALL_BUFFER, n))
 
     problem = SyncProblem(
         omega_of(tau1), omega_of(tau2), k_s, net.tau, SMALL_BUFFER, B=net.B, b=net.b
@@ -290,7 +290,7 @@ def test_phase_general_reduces_to_equal_form():
     from tcpsync.dde_sim import phase_model_intermediate_general
 
     net, e0 = coupled_net()
-    k_s = coupling_strength(RENO, SMALL_BUFFER, net, e0).K
+    k_s = coupling_strength(RENO, SMALL_BUFFER, net, e0)
     om = 17.0
     eq_params = phase_model_small_equal(om, om, k_s, net.tau, B=net.B, b=net.b)
     gen_params = phase_model_small_general(
@@ -300,7 +300,7 @@ def test_phase_general_reduces_to_equal_form():
 
     net_i = NetworkParams(c_prime=200.0, tau=0.1, b=50.0, C_tilde=394.0, B=100.0)
     eq_i = solve_single(RENO, INTERMEDIATE, net_i)
-    k_i = coupling_strength(RENO, INTERMEDIATE, net_i, eq_i).K
+    k_i = coupling_strength(RENO, INTERMEDIATE, net_i, eq_i)
     from tcpsync.dde_sim import phase_model_intermediate_equal
 
     eq_params_i = phase_model_intermediate_equal(om, om, k_i, net_i.tau)
@@ -312,7 +312,7 @@ def test_phase_general_reduces_to_equal_form():
 
 def zero_model(n_var):
     """Right-hand sides and terms of y' = 0 in ``n_var`` variables."""
-    return [lambda y, row: 0.0] * n_var, lambda t, lags: [lag.tolist() for lag in lags]
+    return [lambda y, row: 0.0] * n_var, lambda lags: [lag.tolist() for lag in lags]
 
 
 def test_integrator_rejects_oversized_step():
@@ -334,10 +334,10 @@ def test_integrator_rejects_non_positive_step_or_delay(delays, dt):
 
 def ring_model(n_var):
     """Each variable relaxes and is driven by its neighbour's delayed value:
-    y_i' = -0.8 y_i + sin(y_{i+1}(t - tau_{i+1}) + t), in split form."""
+    y_i' = -0.8 y_i + sin(y_{i+1}(t - tau_{i+1})), in split form."""
 
-    def terms(t, lags):
-        return [list(map(math.sin, (lags[(i + 1) % n_var] + t).tolist())) for i in range(n_var)]
+    def terms(lags):
+        return [list(map(math.sin, lags[(i + 1) % n_var].tolist())) for i in range(n_var)]
 
     return [lambda y, drive: -0.8 * y + drive] * n_var, terms
 
@@ -346,7 +346,7 @@ def floor_model(n_var):
     """The last variable falls as -50 y(t - tau); variable 0 (when there are
     two or more) is NaN after one step, and the others stay put."""
 
-    def terms(t, lags):
+    def terms(lags):
         return [(-50.0 * lag).tolist() for lag in lags]
 
     head = [lambda y, row: float("nan")] if n_var > 1 else []
@@ -354,9 +354,8 @@ def floor_model(n_var):
 
 
 def whole_state_rhs(rhs, terms, dt, floor):
-    """The split form as one rhs(t, y, ylag) for the per-step reference loop.
-    Each call builds one-sample rows at the sample time it stands for (the
-    loop passes n * dt + dt where the blocks pass (n + 1) * dt), and with a
+    """The split form as one rhs(t, y, ylag) for the per-step reference loop:
+    each call builds one-sample rows from the delayed values, and with a
     floor a stage input at or below it aborts with the integrator's text."""
 
     def full(t, y, ylag):
@@ -366,7 +365,7 @@ def whole_state_rhs(rhs, terms, dt, floor):
                     f"variable {i} hit the positivity floor at t={t:.6g}; "
                     f"the step dt={dt:g} is too large for this trajectory"
                 )
-        rows = terms(np.array([round(t / dt) * dt]), [np.array([v]) for v in ylag])
+        rows = terms([np.array([v]) for v in ylag])
         return tuple(f(v, row[0]) for f, v, row in zip(rhs, y, rows))
 
     return full

@@ -76,13 +76,13 @@ def test_generic_equals_closed_form_on_solved_equilibria(spec, regime):
             b=float(rng.uniform(4.0, 50.0)),
         )
         eq = solve_single(spec, regime, net)
-        summary = intrinsic_frequency(spec, regime, net, eq)
-        if not summary.feasible:
+        omega = intrinsic_frequency(spec, regime, net, eq)
+        if not omega:
             continue
         closed = closed_form_frequency(
             spec, regime, eq.w_star, eq.p_edge_star, net.tau, b=net.b
         )
-        assert summary.omega == pytest.approx(closed, rel=1e-9)
+        assert omega == pytest.approx(closed, rel=1e-9)
         checked += 1
 
 
@@ -90,16 +90,14 @@ def test_intrinsic_frequency_feasibility_tagging():
     spec = ProtocolSpec.reno()
     # tiny buffer: b < g makes the radicand negative
     net, eq = equilibrium_net(spec, SMALL_BUFFER, 20.0, 0.1, b=1.0)
-    summary = intrinsic_frequency(spec, SMALL_BUFFER, net, eq)
-    assert not summary.feasible
-    assert summary.omega is None
+    assert intrinsic_frequency(spec, SMALL_BUFFER, net, eq) is None
 
 
 def test_closed_form_rejects_bursty_rows():
     spec = ProtocolSpec.reno()
     net, eq = equilibrium_net(spec, SMALL_BUFFER, 20.0, 0.1, b=15.0, n=2.0)
     # the generic path handles n != 1 ...
-    assert intrinsic_frequency(spec, SMALL_BUFFER, net, eq).feasible
+    assert intrinsic_frequency(spec, SMALL_BUFFER, net, eq) > 0.0
     # ... but there is no tabulated row for it; reject rather than guess
     with pytest.raises(UnsupportedConfigError):
         closed_form_frequency(spec, SMALL_BUFFER, 20.0, 0.01, 0.1, b=15.0, n=2.0)
@@ -118,13 +116,13 @@ def test_coupling_strength_reference_relations():
     C_tilde = (2.0 * w / tau) / p_edge ** (1.0 / B)
     net = NetworkParams(c_prime=250.0, tau=tau, b=b, C_tilde=C_tilde, B=B)
     eq = EquilibriumState(w, p_edge, 0.0, 0.0)
-    ks = coupling_strength(spec, SMALL_BUFFER, net, eq).K
+    ks = coupling_strength(spec, SMALL_BUFFER, net, eq)
     assert ks == pytest.approx(1.0 / (2.0 * w * tau), rel=1e-12)
 
     net1 = NetworkParams(c_prime=250.0, tau=tau, b=b, C_tilde=400.0, B=B)
     net2 = NetworkParams(c_prime=250.0, tau=tau, b=b, C_tilde=800.0, B=B)
-    k1 = coupling_strength(spec, INTERMEDIATE, net1, eq).K
-    k2 = coupling_strength(spec, INTERMEDIATE, net2, eq).K
+    k1 = coupling_strength(spec, INTERMEDIATE, net1, eq)
+    k2 = coupling_strength(spec, INTERMEDIATE, net2, eq)
     assert k2 == pytest.approx(2.0 * k1, rel=1e-14)
 
 
@@ -137,7 +135,7 @@ def test_intermediate_coupling_closed_form_matches_generic(spec):
         C_tilde = float(rng.uniform(100.0, 5000.0))
         net = NetworkParams(c_prime=100.0, tau=tau, b=10.0, C_tilde=C_tilde, B=100.0)
         eq = EquilibriumState(w, 0.01, 0.0, 0.0)
-        generic = coupling_strength(spec, INTERMEDIATE, net, eq).K
+        generic = coupling_strength(spec, INTERMEDIATE, net, eq)
         closed = closed_form_coupling(spec, INTERMEDIATE, w, C_tilde=C_tilde)
         assert generic == pytest.approx(closed, rel=1e-12)
 
@@ -158,7 +156,7 @@ def test_small_coupling_closed_form_matches_generic(spec):
         net = NetworkParams(c_prime=c_prime, tau=tau, b=b, C_tilde=C_tilde, B=B)
         p_edge = (w / (c_prime * tau)) ** b
         eq = EquilibriumState(w, p_edge, 0.0, 0.0)
-        generic = coupling_strength(spec, SMALL_BUFFER, net, eq).K
+        generic = coupling_strength(spec, SMALL_BUFFER, net, eq)
         closed = closed_form_coupling(
             spec, SMALL_BUFFER, w, tau=tau, b=b, B=B,
             c_rtt=c_prime * tau, C_rtt=C_tilde * tau,
@@ -175,8 +173,8 @@ def test_frequency_scales_inversely_with_rtt():
         net2 = NetworkParams(
             c_prime=net1.c_prime / 2.0, tau=net1.tau * 2.0, b=net1.b, n_e=net1.n_e
         )
-        om1 = intrinsic_frequency(spec, regime, net1, eq).omega
-        om2 = intrinsic_frequency(spec, regime, net2, eq).omega
+        om1 = intrinsic_frequency(spec, regime, net1, eq)
+        om2 = intrinsic_frequency(spec, regime, net2, eq)
         assert om2 == pytest.approx(om1 / 2.0, rel=1e-12)
 
 
@@ -195,14 +193,12 @@ def test_critical_delay_against_argument_principle():
 
 
 def test_crossing_frequency_is_intrinsic_frequency():
-    """At an equilibrium the generic intrinsic frequency equals the
-    imaginary-axis crossing frequency of the linearised coefficients."""
+    """At an equilibrium the generic intrinsic frequency is, bit for bit,
+    the imaginary-axis crossing frequency of the linearised coefficients."""
     spec = ProtocolSpec.reno()
     net, eq = equilibrium_net(spec, SMALL_BUFFER, 8.0, 0.1, b=15.0)
     a, c = delay_coefficients(spec, SMALL_BUFFER, net, eq)
-    assert crossing_frequency(a, c) == pytest.approx(
-        intrinsic_frequency(spec, SMALL_BUFFER, net, eq).omega, rel=1e-12
-    )
+    assert crossing_frequency(a, c) == intrinsic_frequency(spec, SMALL_BUFFER, net, eq)
 
 
 def test_coupled_symmetric_modes_reduce_to_single_when_uncoupled():

@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 
 from tcpsync import packet_sim
 from tcpsync.packet_sim import (
+    OSC_MIN_AMPLITUDE,
     FlowGroup,
     Topology,
     _Flow,
     _on_ack,
     _on_loss,
+    queue_oscillation,
     run_scenario,
 )
 from tcpsync.protocols import ProtocolSpec
-from tcpsync.signals import local_maxima
+from tcpsync.signals import autocorr_period, bandpass, local_maxima
+from tcpsync.trace import Trace
 
 from oracles import aimd_sawtooth_period, reference_run_scenario
 
@@ -348,3 +351,42 @@ def test_tie_rule_departing_packet_still_held():
     # the loop with service events popped this tie in the same order
     ref = reference_run_scenario(topo, groups, d0, seed=seed, sample_dt=d0)
     assert (ref.drops, ref.counters) == (res.drops, res.counters)
+
+
+def queue_trace(occupancy, dt=0.02):
+    return Trace(0.0, dt, {"occupancy": occupancy})
+
+
+def test_queue_oscillation_finds_a_cycle_inside_the_band():
+    """A 0.5 s queue cycle at rtt 0.1 s (band periods 0.044-2 s): period to
+    one sample, near-perfect coherence, and a sustained verdict."""
+    dt, period = 0.02, 0.5
+    occ = 60.0 + 40.0 * np.sin(2.0 * np.pi * dt * np.arange(3000) / period)
+    osc = queue_oscillation(queue_trace(occ, dt), 0.1, 100.0)
+    assert osc["period"] == pytest.approx(period, abs=dt)
+    assert osc["coherence"] > 0.9
+    assert osc["amplitude"] == pytest.approx(80.0, rel=0.01)
+    assert osc["persistence"] == pytest.approx(1.0, rel=0.01)
+    assert osc["sustained"]
+    # the classifier band-passes once and hands that series to autocorr_period
+    tail = occ[int(len(occ) * packet_sim.OSC_TRANSIENT):]
+    w_lo, w_hi = np.pi / (10.0 * 0.1), min(10.0 * np.pi / 0.1, np.pi / dt * 0.9)
+    y = bandpass(tail, dt, w_lo, w_hi)
+    assert autocorr_period(y, dt, w_lo, w_hi) == (osc["period"], osc["coherence"])
+
+
+def test_queue_oscillation_flat_trace():
+    osc = queue_oscillation(queue_trace(np.full(3000, 30.0)), 0.1, 100.0)
+    assert np.isnan(osc["period"]) and osc["coherence"] == 0.0
+    assert osc["amplitude"] == 0.0 and not osc["sustained"]
+
+
+def test_queue_oscillation_small_swing_is_not_sustained():
+    """A clean cycle that swings by less than ``OSC_MIN_AMPLITUDE`` packets
+    (the buffer-fraction floor is lower here) is a fluctuation."""
+    dt = 0.02
+    occ = 10.0 + 10.0 * np.sin(2.0 * np.pi * dt * np.arange(3000) / 0.5)
+    osc = queue_oscillation(queue_trace(occ, dt), 0.1, 30.0)
+    assert osc["amplitude"] < OSC_MIN_AMPLITUDE
+    assert np.isfinite(osc["period"]) and osc["coherence"] > 0.9
+    assert not osc["sustained"]

@@ -321,12 +321,12 @@ def analyze_problem(spec, regime, c_prime, factor, rtt1, rtt2, b, B):
     omegas = []
     for tau in (rtt1, rtt2):
         net = NetworkParams(tau=tau, **fields)
-        summary = intrinsic_frequency(spec, regime, net, solve_single(spec, regime, net))
-        if not (summary.feasible and summary.omega):
+        omega = intrinsic_frequency(spec, regime, net, solve_single(spec, regime, net))
+        if not omega:
             return None
-        omegas.append(summary.omega)
+        omegas.append(omega)
     net = NetworkParams(tau=0.5 * (rtt1 + rtt2), **fields)
-    K = coupling_strength(spec, regime, net, solve_single(spec, regime, net)).K
+    K = coupling_strength(spec, regime, net, solve_single(spec, regime, net))
     return SyncProblem(omegas[0], omegas[1], K, net.tau, regime, B=B, b=b)
 
 
