@@ -41,6 +41,7 @@ from .sync_solver import (
     SyncProblem,
     SyncState,
     coupling_range,
+    critical_coupling,
     order_parameter,
     solve_sync,
 )

@@ -590,22 +590,25 @@ def build_parser():
     parser = _Parser(prog="tcpsync", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(name, text):
+        """A subcommand reading a config and writing into a directory; the
+        simulations also take the trace format."""
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=False, help="JSON configuration file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="trace file format")
+        if name.startswith("simulate-"):
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="trace file format")
+        return p
 
-    common(sub.add_parser("analyze", help="equilibrium/linear/sync report"))
-    common(sub.add_parser("simulate-fluid", help="fluid window simulation"))
-    common(sub.add_parser("simulate-phase", help="phase-oscillator simulation"))
-    p = sub.add_parser("simulate-packets", help="packet-level simulation")
-    common(p)
+    common("analyze", "equilibrium/linear/sync report")
+    common("simulate-fluid", "fluid window simulation")
+    common("simulate-phase", "phase-oscillator simulation")
+    p = common("simulate-packets", "packet-level simulation")
+    p.add_argument("--seed", type=int, default=None, help="override the seed")
     p.add_argument("--preset", help="built-in preset name")
     p.add_argument("--variant", help="run a single preset variant")
-    p = sub.add_parser("sweep", help="repeat analyze over a swept parameter")
-    common(p)
+    p = common("sweep", "repeat analyze over a swept parameter")
     p.add_argument("--workers", type=int, default=1)
     p = sub.add_parser("preset", help="list or show presets")
     p.add_argument("action", choices=("list", "show"))

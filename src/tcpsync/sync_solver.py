@@ -28,8 +28,20 @@ In both regimes a locked state is locally stable iff
 criterion of Earl & Strogatz (PRE 67, 2003).  The phase model that
 ``dde_sim.phase_model_equal`` builds integrates the same D and S, as the
 coupling matrix ((-D, -S), (-S, -D)).  An empty root list is a valid answer:
-below the critical coupling no locked state exists.  The scan's per-cell
-search and the coupling-window refinement bisect through ``equilibrium.halve``.
+below the critical coupling no locked state exists.
+
+Both gains scale with K, D = K delta and S = K sigma, so eliminating phi0
+from the pair leaves the explicit locked-state curve K(Omega) (Schuster &
+Wagner, Prog. Theor. Phys. 81, 1989; Yeung & Strogatz, PRL 82, 1999): with
+a = Omega tau, X = (omega_2 - omega_1)/(2 cos a) and
+Y = (Omega - mean omega)/sin a, a locked state at frequency Omega exists at
+every K >= 0 that solves
+
+    (sigma^2 - delta^2) K^2 + 2 delta Y K - (X^2 + Y^2) = 0.
+
+``critical_coupling`` is the curve's minimum; the scan's per-cell search,
+the curve's polish and the coupling window's upper edge bisect through
+``equilibrium.halve``.
 """
 
 import functools
@@ -47,7 +59,7 @@ SCAN_POINTS = 10_000
 POLISH_RTOL = 1e-13
 #: polished roots worse than this (relative) are discarded as spurious
 ACCEPT_RTOL = 1e-9
-#: bisection steps that sharpen a coupling-window end between sweep points
+#: bisection steps that sharpen the coupling window's upper end K_u between sweep points
 REFINE_STEPS = 40
 
 TWO_PI = 2.0 * math.pi
@@ -135,8 +147,9 @@ def _wrap(angle):
 
 def _pair_residuals(problem, d, s, Omega, phi):
     ot = Omega * problem.tau
-    f1 = problem.omega1 + d * math.sin(ot) + s * math.sin(ot + phi) - Omega
-    f2 = problem.omega2 + d * math.sin(ot) + s * math.sin(ot - phi) - Omega
+    self_term = d * math.sin(ot)
+    f1 = problem.omega1 + self_term + s * math.sin(ot + phi) - Omega
+    f2 = problem.omega2 + self_term + s * math.sin(ot - phi) - Omega
     return f1, f2
 
 
@@ -158,8 +171,8 @@ def _newton_polish(problem, d, s, Omega, phi, scale):
             return None
         d_om = (f1 * j22 - f2 * j12) / det
         d_ph = (j11 * f2 - j21 * f1) / det
-        # damped step: halve until the residual does not grow
-        # (kept: only it reaches the |sin phi0| = 1 roots that fix K_c)
+        # damped step: halve until the residual does not grow; it reaches the
+        # roots near |sin phi0| = 1 from the clamped half-feasible candidates
         step = 1.0
         for _ in range(25):
             om_n, ph_n = Omega - step * d_om, phi - step * d_ph
@@ -191,6 +204,14 @@ def _make_state(problem, d, s, Omega, phi):
     )
 
 
+def _omega_max(problem):
+    """Upper end of the scanned frequency range (0, omega_max]."""
+    if problem.omega_max is not None:
+        return problem.omega_max
+    omega_bar = 0.5 * (problem.omega1 + problem.omega2)
+    return max(4.0 * omega_bar, 4.0 * math.pi / problem.tau)
+
+
 @functools.lru_cache(maxsize=1)
 def _scan_grid(omega_max, n_grid, tau):
     """The read-only scan grid and its cos and sin of grid * tau; they do
@@ -214,9 +235,7 @@ def _scan_roots(problem, n_grid=SCAN_POINTS):
     that stops early has seen a prefix of the full root set.
     """
     omega_bar = 0.5 * (problem.omega1 + problem.omega2)
-    omega_max = problem.omega_max
-    if omega_max is None:
-        omega_max = max(4.0 * omega_bar, 4.0 * math.pi / problem.tau)
+    omega_max = _omega_max(problem)
     if problem.K == 0.0:
         # uncoupled: a common frequency exists only without detuning, and the
         # phase difference is then undetermined; report the zero representative
@@ -300,52 +319,158 @@ def select_state(states):
     return None
 
 
+def _curve(shape, offset, cos_a, sin_a):
+    """The locked-state curve at Omega = mean omega + ``offset``.
+
+    ``shape`` is (tau, detuning, delta, area) with area = sigma^2 - delta^2.
+    Returns K(Omega), the smallest non-negative root of the curve's
+    quadratic (inf where no root exists), and the numerator
+    X X' + (Y - delta K) Y' of K'(Omega) = -q_Omega / q_K, whose sign is that
+    of K' because q_K / 2 = area K + delta Y is the discriminant's root.
+    Works on arrays and on scalars; the caller silences numpy's warnings.
+    """
+    tau, detuning, delta, area = shape
+    x = detuning / (2.0 * cos_a)
+    y = offset / sin_a
+    r2 = x * x + y * y
+    dy = delta * y
+    # both roots' forms, written without cancellation
+    u = np.sqrt(dy * dy + area * r2) + np.abs(dy)
+    k = np.where(dy >= 0.0, r2 / u, u / area)
+    k = np.where(k >= 0.0, k, np.inf)  # also maps NaN (no real root) to inf
+    slope = x * x * tau * sin_a / cos_a + (y - delta * k) * (1.0 - y * tau * cos_a) / sin_a
+    return k, slope
+
+
+def _fans(omega_bar, omega_max, tau, width, reach):
+    """Offsets from the mean frequency that resolve the curve where a grid
+    cell cannot: fans with ratio sqrt(2) around the mean frequency, down to
+    2^-24 of the dip ``width`` there, and around each sin a = 0 pole within
+    ``reach`` of it (the first 128), where bands narrower than a grid cell
+    sit when delta^2 > sigma^2.  Only offsets inside (0, omega_max] are
+    kept."""
+    span = math.pi / tau
+    finest = min(width, span) * 2.0**-24
+    depth = math.log2(span / finest) if finest > 0.0 else 40.0
+    steps = span * 2.0 ** -np.arange(0.0, min(depth, 1074.0) + 0.5, 0.5)
+    first = float(math.ceil(max(omega_bar - reach, 0.0) / span))
+    count = min(math.floor(min(omega_bar + reach, omega_max) / span) - first + 1, 128)
+    centres = np.concatenate(([0.0], (first + np.arange(count)) * span - omega_bar))
+    fan = (centres[:, None] + np.concatenate((-steps, steps))).ravel()
+    return fan[(omega_bar + fan > 0.0) & (omega_bar + fan <= omega_max)]
+
+
+def critical_coupling(problem):
+    """K_c: the smallest coupling at which a locked state exists with Omega in
+    (0, problem.omega_max], the minimum of the locked-state curve K(Omega).
+
+    Zero detuning gives exactly 0.0, the uncoupled common state that
+    ``solve_sync`` reports at K = 0.  The curve is sampled on the shared scan
+    grid and on the fans of ``_fans``: next to the mean frequency sits a dip
+    about |X| wide that no grid resolves at small detuning.  Each sampled
+    local minimum within a factor 2 of the lowest sample is polished by
+    bisecting on the sign of K'(Omega) between its sampled neighbours, the
+    bracket cut at the curve's poles (cos a = 0, sin a = 0, and Y = 0 where
+    no root exists across it).  Returns inf when no sample is finite; never
+    raises.  K_c is exact, so it can lie below the first K at which the scan
+    of ``solve_sync`` lists a root, where that scan misses a near-tangent
+    root pair.
+    """
+    detuning = problem.omega2 - problem.omega1
+    if detuning == 0.0:
+        return 0.0
+    tau = problem.tau
+    omega_bar = 0.5 * (problem.omega1 + problem.omega2)
+    omega_max = _omega_max(problem)
+    delta, sigma = equal_gains(problem.regime, 1.0, problem.B, problem.b,
+                               problem.n_c, problem.n_e)
+    if sigma == 0.0:  # no cross coupling: only equal frequencies lock
+        return math.inf
+    area = sigma * sigma - delta * delta
+    shape = (tau, detuning, delta, area)
+
+    grid, cos_g, sin_g = _scan_grid(omega_max, SCAN_POINTS, tau)
+    a_bar = omega_bar * tau
+    width = abs(detuning / (2.0 * math.cos(a_bar)) * math.sin(a_bar))
+    fan = _fans(omega_bar, omega_max, tau, width,
+                math.pi / tau + abs(delta * detuning / sigma))
+    fan_a = (omega_bar + fan) * tau
+    with np.errstate(all="ignore"):
+        offsets, first = np.unique(np.concatenate((grid - omega_bar, fan)), return_index=True)
+        ks = np.concatenate((_curve(shape, grid - omega_bar, cos_g, sin_g)[0],
+                             _curve(shape, fan, np.cos(fan_a), np.sin(fan_a))[0]))[first]
+    best = ks.min()
+    if not math.isfinite(best):
+        return math.inf
+    padded = np.concatenate(([np.inf], ks, [np.inf]))
+    local = np.nonzero((ks <= padded[:-2]) & (ks <= padded[2:]) & (ks <= 2.0 * best))[0]
+
+    def at(t):
+        a = np.float64((omega_bar + t) * tau)  # numpy division: sin a = 0 gives inf
+        with np.errstate(all="ignore"):
+            k, slope = _curve(shape, t, np.cos(a), np.sin(a))
+        return float(k), float(slope)
+
+    quarter = 0.5 * math.pi / tau  # cos a or sin a vanishes at its multiples
+    k_c = float(best)
+    for i in local:
+        centre = offsets[i]
+        lo = offsets[i - 1] if i > 0 else -omega_bar
+        hi = offsets[i + 1] if i + 1 < len(offsets) else centre
+        pole = math.floor((omega_bar + centre) / quarter) * quarter - omega_bar
+        lo, hi = max(lo, pole), min(hi, pole + quarter)
+        if area <= 0.0:  # no root on one side of Y = 0
+            lo, hi = (max(lo, 0.0), hi) if centre > 0.0 else (lo, min(hi, 0.0))
+
+        def above(t):
+            """Whether the minimum lies above t; where the curve has no root,
+            the side of the sampled centre decides."""
+            k, slope = at(t)
+            return slope < 0.0 if math.isfinite(k) else t < centre
+
+        lo, hi = halve(above, lo, hi)
+        k_c = min(k_c, at(lo)[0], at(hi)[0])
+    return k_c
+
+
 def coupling_range(problem, k_values):
     """Locate the coupling window (K_c, K_u) over a monotone K sweep.
 
-    K_c is the smallest coupling at which any locked state exists; K_u the
-    smallest above K_c at which locked states exist but none is stable.
-    Endpoints not resolved inside the sweep are returned as None (open).
-    Transitions between adjacent sweep points are sharpened by
-    ``REFINE_STEPS`` halvings, except K_u when K_c was refined inside
-    the same sweep step: K_u is then the next sweep point, unrefined.
-    Each verdict stops its scan early: at the first locked state for K_c,
-    at the first stable one for K_u.  Every scan covers the problem's own
-    frequency range, ``problem.omega_max``.
+    K_c is the smallest coupling at which any locked state exists: the
+    sweep's first point when the curve's minimum (``critical_coupling``)
+    lies below it, the minimum itself when it lies inside the sweep, and
+    None (open, and then K_u is too) when it lies above the sweep.  K_u is
+    the smallest sweep coupling above K_c at which locked states exist but
+    none is stable, sharpened by ``REFINE_STEPS`` halvings when the sweep
+    point below it was above K_c and had a stable state.  Only sweep points
+    at or above K_c are scanned, and each verdict stops its scan at the
+    first stable state.  Every scan covers the problem's own frequency
+    range, ``problem.omega_max``.
     """
     ks = sorted(float(k) for k in k_values)
     if not ks:
         raise ValueError("empty coupling sweep")
+    k_c = critical_coupling(problem)
+    if not k_c <= ks[-1]:
+        return None, None
+    k_c = max(ks[0], k_c)
 
-    def locks(k):
-        return next(_scan_roots(replace(problem, K=k)), None) is not None
-
-    def verdict(k):
-        """(locked, every locked state unstable) at coupling k."""
+    def all_unstable(k):
+        """Whether locked states exist at coupling k and none is stable."""
         locked, stable = _lock_verdict(replace(problem, K=k))
-        return locked, locked and not stable
+        return locked and not stable
 
-    k_c = None
-    k_u = None
     prev_k = None
-    prev_all_unstable = None
+    prev_all_unstable = False
     for k in ks:
-        locked, all_unstable = verdict(k)
-        if k_c is None and locked:
-            if prev_k is None:
-                k_c = k
-            else:
-                k_c = halve(lambda kk: not locks(kk), prev_k, k, steps=REFINE_STEPS)[1]
-        if k_c is not None and k > k_c and k_u is None and all_unstable:
+        unstable = k >= k_c and all_unstable(k)
+        if k > k_c and unstable:
             if prev_all_unstable or prev_k < k_c:
-                k_u = k
-            else:
-                k_u = halve(lambda kk: not verdict(kk)[1], prev_k, k,
-                            steps=REFINE_STEPS)[1]
-        prev_k, prev_all_unstable = k, all_unstable
-        if k_c is not None and k_u is not None:
-            break
-    return k_c, k_u
+                return k_c, k
+            return k_c, halve(lambda kk: not all_unstable(kk), prev_k, k,
+                              steps=REFINE_STEPS)[1]
+        prev_k, prev_all_unstable = k, unstable
+    return k_c, None
 
 
 def order_parameter(theta1, theta2):

@@ -12,8 +12,9 @@ that the Lindley routers are held to, and the hand-written bisection loops
 of the equilibrium solvers, the sync scan and the coupling window that the
 shared ``equilibrium.halve`` is held bit-identical to, and the four
 simulators as each wired its own run before ``dde_sim`` gave them one run
-path and one fluid right-hand side.  Tests compare package results against
-these.
+path and one fluid right-hand side, and the critical coupling as the minimum
+of the locked-state curve over a dense grid, refined by scipy.  Tests compare
+package results against these.
 """
 
 import cmath
@@ -892,6 +893,107 @@ def reference_coupling_range(problem, k_values):
         if k_c is not None and k_u is not None:
             break
     return k_c, k_u
+
+
+def _reference_curve(problem, offsets):
+    """K on the locked-state curve at Omega = mean omega + offsets: the
+    smallest non-negative root of (S^2 - D^2) K^2 + 2 D Y K - (X^2 + Y^2)
+    with (D, S) the gains at K = 1, by the textbook stable quadratic; a large
+    finite value where no root exists."""
+    d, s = replace(problem, K=1.0).gains()
+    offsets = np.asarray(offsets, dtype=float)
+    omega_bar = 0.5 * (problem.omega1 + problem.omega2)
+    a = (omega_bar + offsets) * problem.tau
+    with np.errstate(all="ignore"):
+        x = (problem.omega2 - problem.omega1) / (2.0 * np.cos(a))
+        y = offsets / np.sin(a)
+        qa, qb, qc = s * s - d * d, 2.0 * d * y, -(x * x + y * y)
+        disc = qb * qb - 4.0 * qa * qc
+        q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
+        roots = np.stack([q / qa, qc / q]) if qa != 0.0 else (qc / q)[None, :]
+        roots = np.where((roots >= 0.0) & np.isfinite(roots), roots, np.inf)
+    k = roots.min(axis=0)
+    return np.where(np.isfinite(k), k, 1e300)
+
+
+def _reference_polish(problem, offsets, k):
+    """scipy's bounded minimisation of the curve between the sampled
+    neighbours of the lowest sample; returns (K, offset)."""
+    from scipy.optimize import minimize_scalar
+
+    i = int(np.argmin(k))
+    lo = offsets[max(i - 1, 0)]
+    hi = offsets[min(i + 1, len(offsets) - 1)]
+    centre = offsets[i]
+    half = max(centre - lo, hi - centre)
+
+    def f(u):  # u in [-1, 1], so the optimiser's relative tolerance is fine
+        t = min(max(centre + u * half, lo), hi)
+        return float(_reference_curve(problem, [t])[0])
+
+    res = minimize_scalar(f, bounds=(-1.0, 1.0), method="bounded",
+                          options={"xatol": 1e-12, "maxiter": 500})
+    best = min((float(k[i]), centre), (float(res.fun), min(max(centre + res.x * half, lo), hi)))
+    return best
+
+
+def reference_critical_coupling(problem, n_dense=1_000_000):
+    """(K_c, Omega_c): the minimum of the locked-state curve over
+    (0, omega_max], from a dense grid, fine geometric grids on both sides of
+    the mean frequency (where a dip about |X| wide sits) and of the
+    sin(Omega tau) = 0 poles near it (where narrow bands sit when
+    D^2 > S^2), and scipy's bounded minimisation around the best sample of
+    each grid.  Zero detuning gives (0.0, mean omega)."""
+    omega_bar = 0.5 * (problem.omega1 + problem.omega2)
+    if problem.omega1 == problem.omega2:
+        return 0.0, omega_bar
+    omega_max = problem.omega_max
+    if omega_max is None:
+        omega_max = max(4.0 * omega_bar, 4.0 * math.pi / problem.tau)
+    detuning = abs(problem.omega2 - problem.omega1)
+    dense = np.linspace(0.0, omega_max, n_dense + 1)[1:] - omega_bar
+    spacing = omega_max / n_dense
+    side = np.geomspace(1e-7 * detuning, 4.0 * spacing, 100_001)
+    grids = [dense, np.concatenate((-side[::-1], side))]
+    period = math.pi / problem.tau
+    d, s = replace(problem, K=1.0).gains()
+    reach = 2.0 * period + 2.0 * abs(d / s) * detuning
+    side = np.geomspace(1e-9 * period, period, 20_001)
+    for n in range(max(1, math.ceil((omega_bar - reach) / period)),
+                   math.floor(min(omega_bar + reach, omega_max) / period) + 1):
+        grids.append(n * period - omega_bar + np.concatenate((-side[::-1], side)))
+    # the dense grid lies inside by construction, its end at omega_max too
+    grids[1:] = [g[(omega_bar + g > 0.0) & (omega_bar + g <= omega_max)] for g in grids[1:]]
+    best = min(_reference_polish(problem, grid, _reference_curve(problem, grid))
+               for grid in grids if len(grid))
+    return best[0], omega_bar + best[1]
+
+
+def reference_state_on_curve(problem, K, omega_c):
+    """A locked state (Omega, phi0) at coupling K built from the curve: the
+    crossing K(Omega) = K next to the curve's minimum at ``omega_c``, then
+    phi0 from K S sin(phi0) = X and K (D + S cos(phi0)) = Y.  None when the
+    curve stays above K there."""
+    omega_bar = 0.5 * (problem.omega1 + problem.omega2)
+    t_c = omega_c - omega_bar
+
+    def excess(t):
+        return float(_reference_curve(problem, [t])[0]) - K
+
+    if excess(t_c) > 0.0:
+        return None
+    step = 1e-12 * (1.0 + abs(omega_c))
+    while excess(t_c + step) <= 0.0:
+        step *= 2.0
+        if step > omega_c:
+            return None
+    t = plain_bisect(excess, t_c, t_c + step)
+    omega = omega_bar + t
+    a = omega * problem.tau
+    d, s = replace(problem, K=K).gains()
+    x = (problem.omega2 - problem.omega1) / (2.0 * math.cos(a))
+    y = t / math.sin(a)
+    return omega, math.atan2(x / s, (y - d) / s)
 
 
 # --------------------------------------------------------------------------

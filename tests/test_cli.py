@@ -19,7 +19,7 @@ from tcpsync.presets import get_preset, preset_names
 from tcpsync.sync_solver import SyncProblem
 from tcpsync.units import mbps_to_pkts_per_s, ms_to_s
 
-from oracles import reference_coupling_range
+from oracles import reference_coupling_range, reference_critical_coupling
 
 
 def analyze_config(**over):
@@ -86,9 +86,11 @@ def test_analyze_report_roundtrip():
 
 
 def test_analyze_coupling_window_scans_the_configured_range():
-    """``sync.omega_max`` bounds the coupling-window scans as it bounds the
-    root list.  Over (0, 100] rad/s the README config has no locked state
-    below K of about 28.7; the default range would give K_c = 0.0297."""
+    """``sync.omega_max`` bounds the coupling-window scans and the curve
+    minimum as it bounds the root list.  Over (0, 100] rad/s the README
+    config has no locked state below K of about 28.7; the default range would
+    give K_c = 0.0297.  K_c is the oracle's curve minimum over that range, K_u
+    that of the eager reference, bit for bit."""
     rep = cmd_analyze({**README_ANALYZE, "sync": {"omega_max": 100.0}})
     assert all(r["Omega_rad_per_s"] <= 100.0 for r in rep["sync"]["roots"])
     assert rep["coupling_range"]["K_c"] > 28.0
@@ -96,8 +98,10 @@ def test_analyze_coupling_window_scans_the_configured_range():
     tau = 0.5 * (ms_to_s(100.0) + ms_to_s(110.0))
     problem = SyncProblem(om1, om2, rep["coupling"]["K_per_s"], tau, INTERMEDIATE,
                           B=100.0, b=50.0, omega_max=100.0)
-    k_c, k_u = reference_coupling_range(problem, np.linspace(0.0, 40.0, 80))
-    assert rep["coupling_range"] == {"K_c": k_c, "K_u": k_u}
+    _, k_u = reference_coupling_range(problem, np.linspace(0.0, 40.0, 80))
+    k_c, _ = reference_critical_coupling(problem)
+    assert rep["coupling_range"]["K_c"] == pytest.approx(k_c, rel=1e-9, abs=0.0)
+    assert repr(rep["coupling_range"]["K_u"]) == repr(k_u)
 
 
 def test_sweep_coherence_monotone(tmp_path):
@@ -125,6 +129,23 @@ def test_intermediate_buffer_rule_full_scale():
     from tcpsync.presets import intermediate_buffer
 
     assert intermediate_buffer(mbps_to_pkts_per_s(197.0), 120) == 375
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--seed", "5"],
+    ["analyze", "--format", "json"],
+    ["sweep", "--seed", "5"],
+    ["sweep", "--format", "csv"],
+    ["simulate-fluid", "--seed", "5"],
+    ["simulate-phase", "--seed", "5"],
+])
+def test_cli_rejects_options_a_command_does_not_read(argv, capsys):
+    """Each subcommand takes only the options it reads: ``--seed`` belongs to
+    ``simulate-packets`` alone and ``--format`` to the simulations."""
+    assert main(argv + ["--config", "unused.json"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "config"
+    assert "unrecognized arguments" in err["error"]["message"]
 
 
 def test_cli_exit_codes(tmp_path):

@@ -19,6 +19,7 @@ from tcpsync.sync_solver import (
     SyncProblem,
     _lock_verdict,
     coupling_range,
+    critical_coupling,
     order_parameter,
     select_state,
     solve_sync,
@@ -27,8 +28,10 @@ from tcpsync.sync_solver import (
 from oracles import (
     brute_sync_roots,
     reference_coupling_range,
+    reference_critical_coupling,
     reference_solve_sync,
     reference_stability_factor,
+    reference_state_on_curve,
 )
 
 
@@ -359,13 +362,59 @@ def test_solve_sync_matches_reference_scan(problem):
     assert repr(solve_sync(problem)) == repr(reference_solve_sync(problem))
 
 
+def assert_window(problem, ks):
+    """K_c is the oracle's curve minimum (to 1e-9 relative), or the sweep's
+    first point when the minimum lies below it, or None above the sweep; K_u
+    is that of the former eager ``refine`` closure, bit for bit."""
+    k_c, k_u = coupling_range(problem, ks)
+    k_min, _ = reference_critical_coupling(problem)
+    want = max(ks[0], k_min) if k_min <= ks[-1] else None
+    if want is None or want == 0.0:
+        assert k_c == want
+    else:
+        assert k_c == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert repr(k_u) == repr(reference_coupling_range(problem, ks)[1])
+    return k_c, k_u
+
+
 @settings(max_examples=15)
 @given(problem=analyze_problems())
 def test_coupling_range_matches_reference_refine(problem):
-    """Over a short version of the analyze sweep, K_c and K_u equal those of
-    the former ``refine`` closure, bit for bit."""
-    ks = np.linspace(0.0, 40.0, 9)
-    assert repr(coupling_range(problem, ks)) == repr(reference_coupling_range(problem, ks))
+    """Over a short version of the analyze sweep, K_c is the curve's minimum
+    and K_u equals that of the former ``refine`` closure, bit for bit."""
+    assert_window(problem, np.linspace(0.0, 40.0, 9))
+
+
+def assert_curve_minimum(problem):
+    """K_c equals the oracle's minimum of the locked-state curve (a dense
+    grid, fine grids around the mean frequency and the nearby sin = 0 poles,
+    scipy's bounded minimisation) to 1e-9 relative, and exactly 0 at zero
+    detuning; and a state built from the curve at K_c (1 + 1e-6) solves the
+    steady-state pair to 1e-10 of the frequency scale."""
+    k_c = critical_coupling(problem)
+    want, omega_c = reference_critical_coupling(problem)
+    if want == 0.0:
+        assert k_c == 0.0
+        return
+    assert k_c == pytest.approx(want, rel=1e-9, abs=0.0)
+    k = k_c * (1.0 + 1e-6)
+    state = reference_state_on_curve(problem, k, omega_c)
+    assert state is not None, "no locked state just above K_c"
+    p = replace(problem, K=k)
+    d, s = p.gains()
+    omega, phi = state
+    ot = omega * p.tau
+    f1 = p.omega1 + d * math.sin(ot) + s * math.sin(ot + phi) - omega
+    f2 = p.omega2 + d * math.sin(ot) + s * math.sin(ot - phi) - omega
+    scale = max(1.0, abs(p.omega1), abs(p.omega2), abs(s), abs(d))
+    assert max(abs(f1), abs(f2)) <= 1e-10 * scale
+
+
+@settings(max_examples=40)
+@given(problem=analyze_problems())
+def test_critical_coupling_is_the_curve_minimum(problem):
+    """Over the analyze box, K_c is the curve's minimum and locks just above."""
+    assert_curve_minimum(problem)
 
 
 @settings(max_examples=15)
@@ -381,22 +430,56 @@ def test_lazy_verdict_matches_full_solve(problem):
         assert _lock_verdict(p) == (bool(states), any(st.stable for st in states))
 
 
-@pytest.mark.parametrize("problem, window", [
-    # the README analyze config: K_c refined, K_u open
+#: perfbench seed 1004 ``analyze`` job 28 (Reno, intermediate): a detuning of
+#: 9e-4 rad/s puts K_c in a dip about |X| wide next to the mean frequency,
+#: far narrower than one cell of the scan grid
+NARROW_DIP = SyncProblem(1895.2735695550052, 1895.2726554822023, 0.0,
+                         0.17412828931852903, INTERMEDIATE)
+
+
+@pytest.mark.parametrize("problem, k_u", [
+    # the README analyze config: K_u open
     (analyze_problem(ProtocolSpec.compound(), INTERMEDIATE, 300.0, 1.97, 0.1, 0.11,
-                     50.0, 100.0), (0.029722224061504085, None)),
-    # detuned toy: K_c refined inside the step whose end is the unrefined K_u
-    (inter_problem(omega1=50.0, omega2=51.0, K=0.0), (2.7023868821050177, 3.037974683544304)),
+                     50.0, 100.0), None),
+    # detuned toy: K_c inside the step whose end is the unrefined K_u
+    (inter_problem(omega1=50.0, omega2=51.0, K=0.0), 3.037974683544304),
     # zero detuning: K_c = 0, then every root unstable at the next point
-    (inter_problem(omega1=50.0, omega2=50.0, K=0.0), (0.0, 0.5063291139240507)),
+    (inter_problem(omega1=50.0, omega2=50.0, K=0.0), 0.5063291139240507),
     # self-interaction outweighing the cross term (b/n_e > B/n_c)
     (small_problem(omega1=22.0, omega2=22.0, K=0.0, B=10.0, b=12.0, tau=0.1),
-     (0.0, 0.5063291139240507)),
+     0.5063291139240507),
 ], ids=["readme", "toy-detuned", "zero-detuning", "small-buffer-upper-edge"])
-def test_coupling_range_full_sweep_matches_reference(problem, window):
-    """Over the full analyze sweep the lazy verdicts give the window of the
-    eager reference, bit for bit."""
-    ks = np.linspace(0.0, 40.0, 80)
-    got = coupling_range(problem, ks)
-    assert repr(got) == repr(reference_coupling_range(problem, ks))
-    assert got == window
+def test_coupling_range_full_sweep_matches_reference(problem, k_u):
+    """Over the full analyze sweep K_c is the curve's minimum and the lazy
+    verdicts give the K_u of the eager reference, bit for bit."""
+    assert assert_window(problem, np.linspace(0.0, 40.0, 80))[1] == k_u
+
+
+@pytest.mark.parametrize("problem", [
+    inter_problem(omega1=50.0, omega2=51.0, K=0.0),
+    NARROW_DIP,
+    inter_problem(omega1=50.0, omega2=50.0, K=0.0),
+    small_problem(omega1=22.0, omega2=22.4, K=0.0, B=10.0, b=12.0, tau=0.1),
+], ids=["toy-detuned", "narrow-dip", "zero-detuning", "small-buffer-b-over-B"])
+def test_critical_coupling_table(problem):
+    """The toy's K_c, 2.7023542, lies below the first K at which the scan
+    lists a root (2.7023869); the narrow dip's, 4.6247e-4, lies above
+    K = 4.61e-4, where the scan accepts a pseudo-root at a relative pair
+    residual of 7.7e-10."""
+    assert_curve_minimum(problem)
+
+
+def test_coupling_range_k_c_independent_of_sweep_density():
+    """K_c comes from the curve, not from the sweep: a 10x denser sweep
+    reports the same value, bit for bit."""
+    p = inter_problem(omega1=50.0, omega2=51.0, K=0.0)
+    coarse, _ = coupling_range(p, np.linspace(0.0, 40.0, 80))
+    dense, _ = coupling_range(p, np.linspace(0.0, 40.0, 800))
+    assert coarse == dense == critical_coupling(p)
+
+
+def test_coupling_range_open_above_the_sweep():
+    """A curve minimum above the sweep leaves both ends open, with no scan."""
+    p = inter_problem(omega1=50.0, omega2=53.0, K=0.0)
+    assert critical_coupling(p) > 1.0
+    assert coupling_range(p, np.linspace(0.0, 1.0, 5)) == (None, None)
