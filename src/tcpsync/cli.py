@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -412,7 +411,7 @@ def cmd_simulate_phase(cfg, outdir, fmt):
         problem = _checked(SyncProblem, om1, om2, k, tau, INTERMEDIATE)
     else:
         raise ConfigError(f"unknown phase model {model!r}")
-    params = _checked(phase_model_equal, replace(problem, tau=tau1), tau2=tau2)
+    params = _checked(phase_model_equal, problem, tau2=tau2, tau1=tau1)
     sim_cfg = _dde_config(cfg)
     trace = simulate_phase_oscillators(params, sim_cfg)
     trace_path = _write_trace(trace, outdir, f"phase-{model}", fmt)

@@ -39,9 +39,10 @@ every K >= 0 that solves
 
     (sigma^2 - delta^2) K^2 + 2 delta Y K - (X^2 + Y^2) = 0.
 
-``critical_coupling`` is the curve's minimum; the scan's per-cell search,
-the curve's polish and the coupling window's upper edge bisect through
-``equilibrium.halve``.
+``critical_coupling`` is the curve's minimum; the scan's per-cell search and
+the curve's polish bisect through ``equilibrium.halve``.  A scanned candidate
+is listed only when its Newton polish solves the pair to ``POLISH_RTOL`` of
+the frequency scale, so no state is listed below K_c.
 """
 
 import functools
@@ -55,12 +56,9 @@ from .loss_models import INTERMEDIATE, REGIMES
 
 #: number of points in the frequency scan grid
 SCAN_POINTS = 10_000
-#: tolerance on the polished steady-state pair, relative to the frequency scale
+#: tolerance on the polished steady-state pair, relative to the frequency scale;
+#: a candidate whose polish does not reach it is not a locked state
 POLISH_RTOL = 1e-13
-#: polished roots worse than this (relative) are discarded as spurious
-ACCEPT_RTOL = 1e-9
-#: bisection steps that sharpen the coupling window's upper end K_u between sweep points
-REFINE_STEPS = 40
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,8 +104,12 @@ class SyncProblem:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown buffer regime {self.regime!r}")
-        if not self.K >= 0:
-            raise ValueError("coupling strength must be non-negative")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"delay tau must be finite and positive, got {self.tau!r}")
+        if not (math.isfinite(self.omega1) and math.isfinite(self.omega2)):
+            raise ValueError("intrinsic frequencies must be finite")
+        if not (math.isfinite(self.K) and self.K >= 0):
+            raise ValueError("coupling strength must be finite and non-negative")
         if not (self.n_c >= 1 and self.n_e >= 1):
             raise ValueError("core and edge burstiness must be >= 1")
         if self.omega_max is not None and not self.omega_max > 0:
@@ -154,12 +156,18 @@ def _pair_residuals(problem, d, s, Omega, phi):
 
 
 def _newton_polish(problem, d, s, Omega, phi, scale):
+    """Damped Newton on the steady-state pair from (Omega, phi): the root,
+    phi wrapped, as soon as both residuals are within ``POLISH_RTOL`` of
+    ``scale``; None when 60 steps do not get there or the Jacobian is
+    singular."""
     tau = problem.tau
-    for _ in range(60):
+    for steps in range(61):
         f1, f2 = _pair_residuals(problem, d, s, Omega, phi)
         err = max(abs(f1), abs(f2))
         if err <= POLISH_RTOL * scale:
-            break
+            return Omega, _wrap(phi)
+        if steps == 60:
+            return None
         ot = Omega * tau
         c, cp, cm = math.cos(ot), math.cos(ot + phi), math.cos(ot - phi)
         j11 = d * tau * c + s * tau * cp - 1.0
@@ -181,10 +189,6 @@ def _newton_polish(problem, d, s, Omega, phi, scale):
                 break
             step *= 0.5
         Omega, phi = om_n, ph_n
-    f1, f2 = _pair_residuals(problem, d, s, Omega, phi)
-    if max(abs(f1), abs(f2)) > ACCEPT_RTOL * scale:
-        return None
-    return Omega, _wrap(phi)
 
 
 def _make_state(problem, d, s, Omega, phi):
@@ -213,26 +217,27 @@ def _omega_max(problem):
 
 
 @functools.lru_cache(maxsize=1)
-def _scan_grid(omega_max, n_grid, tau):
+def _frequency_grid(omega_max, tau):
     """The read-only scan grid and its cos and sin of grid * tau; they do
     not depend on K, so every solve of a coupling sweep shares one copy."""
-    grid = np.linspace(0.0, omega_max, n_grid + 1)[1:]
+    grid = np.linspace(0.0, omega_max, SCAN_POINTS + 1)[1:]
     arrays = (grid, np.cos(grid * tau), np.sin(grid * tau))
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _scan_roots(problem, n_grid=SCAN_POINTS):
+def _scan_roots(problem):
     """Yield the locked states in scan order, each as soon as it is accepted.
 
     Both arcsin branches of phi0(Omega) are grid-scanned, the cos(phi0) > 0
     branch first.  Within each contiguous feasible run of the grid the
     averaged relation G(Omega) = mean(omega) + D sin + S sin cos(phi0) - Omega
     is sign-scanned; each crossing, in grid order, is bisected and handed to
-    a joint Newton polish of the full steady-state pair, and yielded unless
-    it leaves (0, problem.omega_max] or repeats a root already yielded.  A caller
-    that stops early has seen a prefix of the full root set.
+    a joint Newton polish of the full steady-state pair, and yielded once the
+    polish converges unless it leaves (0, problem.omega_max] or repeats a
+    root already yielded.  A caller that stops early has seen a prefix of
+    the full root set.
     """
     omega_bar = 0.5 * (problem.omega1 + problem.omega2)
     omega_max = _omega_max(problem)
@@ -247,7 +252,7 @@ def _scan_roots(problem, n_grid=SCAN_POINTS):
     tau = problem.tau
     scale = max(1.0, abs(problem.omega1), abs(problem.omega2), abs(s), abs(d))
 
-    grid, cos_ot, sin_ot = _scan_grid(omega_max, n_grid, tau)
+    grid, cos_ot, sin_ot = _frequency_grid(omega_max, tau)
     with np.errstate(divide="ignore", invalid="ignore"):
         sin_phi = detuning / (2.0 * s * cos_ot)
     feasible = np.isfinite(sin_phi) & (np.abs(sin_phi) <= 1.0)
@@ -293,9 +298,9 @@ def _scan_roots(problem, n_grid=SCAN_POINTS):
             yield _make_state(problem, d, s, om, phi)
 
 
-def solve_sync(problem, n_grid=SCAN_POINTS):
+def solve_sync(problem):
     """All locked states of the oscillator pair, sorted by Omega (then phi0)."""
-    return sorted(_scan_roots(problem, n_grid),
+    return sorted(_scan_roots(problem),
                   key=lambda st: (st.Omega, st.phi0))
 
 
@@ -389,7 +394,7 @@ def critical_coupling(problem):
     area = sigma * sigma - delta * delta
     shape = (tau, detuning, delta, area)
 
-    grid, cos_g, sin_g = _scan_grid(omega_max, SCAN_POINTS, tau)
+    grid, cos_g, sin_g = _frequency_grid(omega_max, tau)
     a_bar = omega_bar * tau
     width = abs(detuning / (2.0 * math.cos(a_bar)) * math.sin(a_bar))
     fan = _fans(omega_bar, omega_max, tau, width,
@@ -440,12 +445,11 @@ def coupling_range(problem, k_values):
     sweep's first point when the curve's minimum (``critical_coupling``)
     lies below it, the minimum itself when it lies inside the sweep, and
     None (open, and then K_u is too) when it lies above the sweep.  K_u is
-    the smallest sweep coupling above K_c at which locked states exist but
-    none is stable, sharpened by ``REFINE_STEPS`` halvings when the sweep
-    point below it was above K_c and had a stable state.  Only sweep points
-    at or above K_c are scanned, and each verdict stops its scan at the
-    first stable state.  Every scan covers the problem's own frequency
-    range, ``problem.omega_max``.
+    the first sweep point above K_c at which locked states exist but none
+    is stable, or None when there is none; it is a sweep point, not refined
+    between points.  Only sweep points above K_c are scanned, each verdict
+    stops its scan at the first stable state, and every scan covers the
+    problem's own frequency range, ``problem.omega_max``.
     """
     ks = sorted(float(k) for k in k_values)
     if not ks:
@@ -454,22 +458,11 @@ def coupling_range(problem, k_values):
     if not k_c <= ks[-1]:
         return None, None
     k_c = max(ks[0], k_c)
-
-    def all_unstable(k):
-        """Whether locked states exist at coupling k and none is stable."""
-        locked, stable = _lock_verdict(replace(problem, K=k))
-        return locked and not stable
-
-    prev_k = None
-    prev_all_unstable = False
     for k in ks:
-        unstable = k >= k_c and all_unstable(k)
-        if k > k_c and unstable:
-            if prev_all_unstable or prev_k < k_c:
+        if k > k_c:
+            locked, stable = _lock_verdict(replace(problem, K=k))
+            if locked and not stable:
                 return k_c, k
-            return k_c, halve(lambda kk: not all_unstable(kk), prev_k, k,
-                              steps=REFINE_STEPS)[1]
-        prev_k, prev_all_unstable = k, unstable
     return k_c, None
 
 

@@ -33,16 +33,13 @@ from tcpsync.linear_analysis import delay_coefficients
 from tcpsync.loss_models import core_loss_fn, edge_loss_fn, loss_at
 from tcpsync.packet_sim import DUPACK_DETECT, ScenarioResult, _Flow, _on_ack, _on_loss
 from tcpsync.protocols import window_laws
-from tcpsync.sync_solver import (
-    ACCEPT_RTOL,
-    POLISH_RTOL,
-    REFINE_STEPS,
-    SCAN_POINTS,
-    SyncState,
-    _wrap,
-    order_parameter,
-)
+from tcpsync.sync_solver import POLISH_RTOL, SCAN_POINTS, SyncState, _wrap, order_parameter
 from tcpsync.trace import Trace
+
+#: the former acceptance of polished roots, relative to the frequency scale
+ACCEPT_RTOL = 1e-9
+#: the former bisection steps that sharpened the coupling window's K_u
+REFINE_STEPS = 40
 
 
 def plain_bisect(f, lo, hi, iters=200):
@@ -775,7 +772,8 @@ def _reference_make_state(problem, Omega, phi):
 
 
 def reference_scan_roots(problem, omega_max, n_grid):
-    """``sync_solver._scan_roots`` with its 60-step per-cell bisection."""
+    """``sync_solver._scan_roots`` with its 60-step per-cell bisection and its
+    former acceptance of polished roots up to ``ACCEPT_RTOL``."""
     d, s = problem.gains()
     detuning = problem.omega2 - problem.omega1
     omega_bar = 0.5 * (problem.omega1 + problem.omega2)

@@ -299,6 +299,7 @@ def run_phase_config(tmp_path, **over):
 @pytest.mark.parametrize("over", [
     pytest.param({"tau_s": -0.1}, id="negative-tau"),
     pytest.param({"tau_s": [0.1, 0.0]}, id="zero-tau2"),
+    pytest.param({"tau_s": [0.0, 0.1]}, id="zero-tau1"),
     pytest.param({"edge_burstiness": "abc"}, id="edge-burstiness-not-a-number"),
     pytest.param({"core_burstiness": 0.5}, id="core-burstiness-below-1"),
 ])

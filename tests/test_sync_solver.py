@@ -16,6 +16,7 @@ from tcpsync.linear_analysis import coupling_strength, intrinsic_frequency
 from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER, NetworkParams
 from tcpsync.protocols import ProtocolSpec
 from tcpsync.sync_solver import (
+    POLISH_RTOL,
     SyncProblem,
     _lock_verdict,
     coupling_range,
@@ -98,6 +99,20 @@ def test_swap_symmetry_negates_phase():
     for a, b in zip(sp_, sq):
         assert a.Omega == pytest.approx(b.Omega, rel=1e-10, abs=1e-10)
         assert a.phi0 == pytest.approx(-b.phi0, rel=1e-9, abs=1e-10)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", 0.0), ("tau", -0.1), ("tau", math.nan), ("tau", math.inf),
+    ("omega1", math.nan), ("omega2", math.inf), ("omega1", -math.inf),
+    ("K", math.inf), ("K", math.nan), ("K", -1.0),
+], ids=["zero-tau", "negative-tau", "nan-tau", "inf-tau", "nan-omega1", "inf-omega2",
+        "minus-inf-omega1", "inf-K", "nan-K", "negative-K"])
+def test_sync_problem_rejects_bad_inputs(field, value):
+    """A delay that is not finite and positive, or a frequency or coupling
+    that is not finite, is refused: such problems divided by zero, gave a
+    K_c for a negative delay, or listed thousands of states at K = inf."""
+    with pytest.raises(ValueError):
+        replace(inter_problem(), **{field: value})
 
 
 def test_detuned_below_critical_coupling_is_empty():
@@ -222,7 +237,7 @@ def test_equal_reduction_shared_by_phase_model_and_stability_rule(problem, omega
     for Omega in omegas:
         new, old = p.stability_factor(Omega), reference_stability_factor(p, Omega)
         assert (new < 0.0, new == 0.0) == (old < 0.0, old == 0.0), (Omega, new, old)
-    for state in solve_sync(p, n_grid=500):
+    for state in solve_sync(p):
         old = reference_stability_factor(p, state.Omega)
         assert (state.stable, state.marginal) == (old < 0.0, old == 0.0), state
 
@@ -354,12 +369,40 @@ def analyze_problems(draw):
     return problem
 
 
+def converged(problem, states):
+    """The states whose steady-state pair, at their reported Omega and phi0,
+    holds to ``POLISH_RTOL`` of the frequency scale: the reference scan also
+    keeps roots its polish left above that, which the solver does not list."""
+    d, s = problem.gains()
+    scale = max(1.0, abs(problem.omega1), abs(problem.omega2), abs(s), abs(d))
+    kept = []
+    for st in states:
+        ot = st.Omega * problem.tau
+        f1 = problem.omega1 + d * math.sin(ot) + s * math.sin(ot + st.phi0) - st.Omega
+        f2 = problem.omega2 + d * math.sin(ot) + s * math.sin(ot - st.phi0) - st.Omega
+        if max(abs(f1), abs(f2)) <= POLISH_RTOL * scale:
+            kept.append(st)
+    return kept
+
+
 @settings(max_examples=60)
 @given(problem=analyze_problems())
 def test_solve_sync_matches_reference_scan(problem):
     """The scan bisecting through ``halve`` with no step cap returns the root
-    list of the former 60-step loop, bit for bit."""
-    assert repr(solve_sync(problem)) == repr(reference_solve_sync(problem))
+    list of the former 60-step loop, bit for bit, less the reference roots
+    whose polish did not converge."""
+    assert repr(solve_sync(problem)) == repr(converged(problem, reference_solve_sync(problem)))
+
+
+@settings(max_examples=60)
+@given(problem=analyze_problems())
+def test_no_locked_state_just_below_critical_coupling(problem):
+    """Over the analyze box no state is listed at K_c (1 - 1e-5): no locked
+    state exists below the curve's minimum, and only a converged polish
+    lists one."""
+    k_c = critical_coupling(problem)
+    assume(0.0 < k_c < math.inf)
+    assert solve_sync(replace(problem, K=k_c * (1.0 - 1e-5))) == []
 
 
 def assert_window(problem, ks):
@@ -426,7 +469,7 @@ def test_lazy_verdict_matches_full_solve(problem):
     for k in np.linspace(0.0, 40.0, 9):
         p = replace(problem, K=float(k))
         states = solve_sync(p)
-        assert repr(states) == repr(reference_solve_sync(p))
+        assert repr(states) == repr(converged(p, reference_solve_sync(p)))
         assert _lock_verdict(p) == (bool(states), any(st.stable for st in states))
 
 
@@ -464,9 +507,17 @@ def test_coupling_range_full_sweep_matches_reference(problem, k_u):
 def test_critical_coupling_table(problem):
     """The toy's K_c, 2.7023542, lies below the first K at which the scan
     lists a root (2.7023869); the narrow dip's, 4.6247e-4, lies above
-    K = 4.61e-4, where the scan accepts a pseudo-root at a relative pair
-    residual of 7.7e-10."""
+    K = 4.61e-4, where the scan once accepted a pseudo-root at a relative
+    pair residual of 7.7e-10."""
     assert_curve_minimum(problem)
+
+
+@pytest.mark.parametrize("k", [4.61e-4, 4.62e-4])
+def test_narrow_dip_lists_no_state_below_critical_coupling(k):
+    """Just below the narrow dip's K_c no polish converges, so no state is
+    listed; the former 1e-9 acceptance listed one at both couplings."""
+    assert critical_coupling(NARROW_DIP) > k
+    assert solve_sync(replace(NARROW_DIP, K=k)) == []
 
 
 def test_coupling_range_k_c_independent_of_sweep_density():
