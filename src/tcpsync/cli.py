@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -411,7 +412,7 @@ def cmd_simulate_phase(cfg, outdir, fmt):
         problem = _checked(SyncProblem, om1, om2, k, tau, INTERMEDIATE)
     else:
         raise ConfigError(f"unknown phase model {model!r}")
-    params = _checked(phase_model_equal, problem, tau2=tau2, tau1=tau1)
+    params = _checked(phase_model_equal, _checked(replace, problem, tau=tau1), tau2=tau2)
     sim_cfg = _dde_config(cfg)
     trace = simulate_phase_oscillators(params, sim_cfg)
     trace_path = _write_trace(trace, outdir, f"phase-{model}", fmt)

@@ -307,14 +307,15 @@ class PhaseParams:
         }
 
 
-def phase_model_equal(problem, tau2=None, tau1=None):
+def phase_model_equal(problem, tau2=None):
     """Equal-form phase model of a sync problem: coupling ((-D, -S), (-S, -D))
-    from the solver's gains, delays (tau1, tau2), each problem.tau when None."""
+    from the solver's gains, delays (problem.tau, tau2 or problem.tau)."""
     d, s = problem.gains()
+    t2 = problem.tau if tau2 is None else tau2
     return PhaseParams(
         "phase-small-equal" if problem.regime == SMALL_BUFFER else "phase-intermediate-equal",
         (problem.omega1, problem.omega2),
-        tuple(problem.tau if t is None else t for t in (tau1, tau2)),
+        (problem.tau, t2),
         ((-d, -s), (-s, -d)),
     )
 

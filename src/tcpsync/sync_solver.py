@@ -42,7 +42,8 @@ every K >= 0 that solves
 ``critical_coupling`` is the curve's minimum; the scan's per-cell search and
 the curve's polish bisect through ``equilibrium.halve``.  A scanned candidate
 is listed only when its Newton polish solves the pair to ``POLISH_RTOL`` of
-the frequency scale, so no state is listed below K_c.
+the frequency scale, or to its rounding floor ``FLOOR_RTOL`` where that is
+larger (Omega tau in the hundreds), so no state is listed below K_c.
 """
 
 import functools
@@ -56,9 +57,11 @@ from .loss_models import INTERMEDIATE, REGIMES
 
 #: number of points in the frequency scan grid
 SCAN_POINTS = 10_000
-#: tolerance on the polished steady-state pair, relative to the frequency scale;
-#: a candidate whose polish does not reach it is not a locked state
+#: tolerance on the polished steady-state pair, relative to the frequency scale
 POLISH_RTOL = 1e-13
+#: a polish stalled above POLISH_RTOL lists its root within 8 eps of the pair's
+#: term magnitudes, the sine terms' grown by Omega tau (its rounding floor)
+FLOOR_RTOL = 8 * 2.0 ** -52
 
 TWO_PI = 2.0 * math.pi
 
@@ -158,8 +161,9 @@ def _pair_residuals(problem, d, s, Omega, phi):
 def _newton_polish(problem, d, s, Omega, phi, scale):
     """Damped Newton on the steady-state pair from (Omega, phi): the root,
     phi wrapped, as soon as both residuals are within ``POLISH_RTOL`` of
-    ``scale``; None when 60 steps do not get there or the Jacobian is
-    singular."""
+    ``scale``, or after 60 steps at the rounding floor (``FLOOR_RTOL``; it is
+    the larger at Omega tau in the hundreds); None otherwise, as for the
+    candidates below K_c, or when the Jacobian is singular."""
     tau = problem.tau
     for steps in range(61):
         f1, f2 = _pair_residuals(problem, d, s, Omega, phi)
@@ -167,7 +171,9 @@ def _newton_polish(problem, d, s, Omega, phi, scale):
         if err <= POLISH_RTOL * scale:
             return Omega, _wrap(phi)
         if steps == 60:
-            return None
+            terms = (abs(Omega) + max(abs(problem.omega1), abs(problem.omega2))
+                     + (abs(d) + abs(s)) * (1.0 + abs(Omega * tau)))
+            return (Omega, _wrap(phi)) if err <= FLOOR_RTOL * terms else None
         ot = Omega * tau
         c, cp, cm = math.cos(ot), math.cos(ot + phi), math.cos(ot - phi)
         j11 = d * tau * c + s * tau * cp - 1.0
@@ -217,7 +223,7 @@ def _omega_max(problem):
 
 
 @functools.lru_cache(maxsize=1)
-def _frequency_grid(omega_max, tau):
+def _scan_grid(omega_max, tau):
     """The read-only scan grid and its cos and sin of grid * tau; they do
     not depend on K, so every solve of a coupling sweep shares one copy."""
     grid = np.linspace(0.0, omega_max, SCAN_POINTS + 1)[1:]
@@ -252,7 +258,7 @@ def _scan_roots(problem):
     tau = problem.tau
     scale = max(1.0, abs(problem.omega1), abs(problem.omega2), abs(s), abs(d))
 
-    grid, cos_ot, sin_ot = _frequency_grid(omega_max, tau)
+    grid, cos_ot, sin_ot = _scan_grid(omega_max, tau)
     with np.errstate(divide="ignore", invalid="ignore"):
         sin_phi = detuning / (2.0 * s * cos_ot)
     feasible = np.isfinite(sin_phi) & (np.abs(sin_phi) <= 1.0)
@@ -394,7 +400,7 @@ def critical_coupling(problem):
     area = sigma * sigma - delta * delta
     shape = (tau, detuning, delta, area)
 
-    grid, cos_g, sin_g = _frequency_grid(omega_max, tau)
+    grid, cos_g, sin_g = _scan_grid(omega_max, tau)
     a_bar = omega_bar * tau
     width = abs(detuning / (2.0 * math.cos(a_bar)) * math.sin(a_bar))
     fan = _fans(omega_bar, omega_max, tau, width,

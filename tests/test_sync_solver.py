@@ -16,6 +16,7 @@ from tcpsync.linear_analysis import coupling_strength, intrinsic_frequency
 from tcpsync.loss_models import INTERMEDIATE, SMALL_BUFFER, NetworkParams
 from tcpsync.protocols import ProtocolSpec
 from tcpsync.sync_solver import (
+    FLOOR_RTOL,
     POLISH_RTOL,
     SyncProblem,
     _lock_verdict,
@@ -369,18 +370,32 @@ def analyze_problems(draw):
     return problem
 
 
-def converged(problem, states):
-    """The states whose steady-state pair, at their reported Omega and phi0,
-    holds to ``POLISH_RTOL`` of the frequency scale: the reference scan also
-    keeps roots its polish left above that, which the solver does not list."""
+def pair_residual(problem, state):
+    """Larger steady-state pair residual at a state's reported Omega and phi0."""
     d, s = problem.gains()
-    scale = max(1.0, abs(problem.omega1), abs(problem.omega2), abs(s), abs(d))
+    ot = state.Omega * problem.tau
+    f1 = problem.omega1 + d * math.sin(ot) + s * math.sin(ot + state.phi0) - state.Omega
+    f2 = problem.omega2 + d * math.sin(ot) + s * math.sin(ot - state.phi0) - state.Omega
+    return max(abs(f1), abs(f2))
+
+
+def frequency_scale(problem):
+    d, s = problem.gains()
+    return max(1.0, abs(problem.omega1), abs(problem.omega2), abs(s), abs(d))
+
+
+def converged(problem, states):
+    """The states whose steady-state pair holds to ``POLISH_RTOL`` of the
+    frequency scale or to ``FLOOR_RTOL`` of the magnitudes of its terms, the
+    sine terms' grown by Omega tau: the reference scan also keeps roots its
+    polish left above both, which the solver does not list."""
+    d, s = problem.gains()
     kept = []
     for st in states:
-        ot = st.Omega * problem.tau
-        f1 = problem.omega1 + d * math.sin(ot) + s * math.sin(ot + st.phi0) - st.Omega
-        f2 = problem.omega2 + d * math.sin(ot) + s * math.sin(ot - st.phi0) - st.Omega
-        if max(abs(f1), abs(f2)) <= POLISH_RTOL * scale:
+        terms = (abs(st.Omega) + max(abs(problem.omega1), abs(problem.omega2))
+                 + (abs(d) + abs(s)) * (1.0 + abs(st.Omega * problem.tau)))
+        tol = max(POLISH_RTOL * frequency_scale(problem), FLOOR_RTOL * terms)
+        if pair_residual(problem, st) <= tol:
             kept.append(st)
     return kept
 
@@ -518,6 +533,26 @@ def test_narrow_dip_lists_no_state_below_critical_coupling(k):
     listed; the former 1e-9 acceptance listed one at both couplings."""
     assert critical_coupling(NARROW_DIP) > k
     assert solve_sync(replace(NARROW_DIP, K=k)) == []
+
+
+#: a marginal small-buffer problem (B/n_c = b/n_e) of the random box whose
+#: 195 roots reach Omega tau = 528
+LARGE_PHASE = SyncProblem(280.6430056594457, 272.9028016114095, 225.37008002022762,
+                          0.4835610301533196, SMALL_BUFFER,
+                          B=101.9534305146268, b=101.9534305146268,
+                          n_c=3.7452982288312335, n_e=3.7452982288312335)
+
+
+def test_roots_at_large_phase_argument_are_kept():
+    """Rounding alone leaves five true roots, at Omega 1026-1091 rad/s, with
+    a pair residual of 1.0e-13 to 1.5e-13 of the frequency scale, above
+    ``POLISH_RTOL``; each is still listed, and the list is the reference
+    scan's, bit for bit."""
+    states = solve_sync(LARGE_PHASE)
+    assert repr(states) == repr(reference_solve_sync(LARGE_PHASE))
+    scale = frequency_scale(LARGE_PHASE)
+    stalled = [st for st in states if pair_residual(LARGE_PHASE, st) > POLISH_RTOL * scale]
+    assert len(stalled) == 5
 
 
 def test_coupling_range_k_c_independent_of_sweep_density():
