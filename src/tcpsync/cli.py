@@ -512,8 +512,7 @@ def _set_by_path(cfg, path, value):
     node[keys[-1]] = value
 
 
-def _sweep_point(args):
-    base_json, path, value = args
+def _sweep_point(base_json, path, value):
     cfg = json.loads(base_json)
     _set_by_path(cfg, path, value)
     row = {"value": value}
@@ -540,22 +539,14 @@ SWEEP_COLUMNS = [
 ]
 
 
-def cmd_sweep(cfg, outdir, workers=1):
+def cmd_sweep(cfg, outdir):
     base, path, values = cfg.get("base"), cfg.get("param_path"), cfg.get("values")
     if not (isinstance(base, dict) and isinstance(path, str) and isinstance(values, list)):
         raise ConfigError("sweep config needs a 'base' object, a 'param_path' string and a 'values' list")
     values = [_finite(v, "values") for v in values]
     base_json = json.dumps(base, sort_keys=True)
     _set_by_path(json.loads(base_json), path, 0.0)  # a bad path fails before any point runs
-    jobs = [(base_json, path, v) for v in values]
-    if workers > 1:
-        # imported here: the process pool costs every other command import time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
-    else:
-        rows = [_sweep_point(j) for j in jobs]
+    rows = [_sweep_point(base_json, path, v) for v in values]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "sweep.csv"
@@ -608,8 +599,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None, help="override the seed")
     p.add_argument("--preset", help="built-in preset name")
     p.add_argument("--variant", help="run a single preset variant")
-    p = common("sweep", "repeat analyze over a swept parameter")
-    p.add_argument("--workers", type=int, default=1)
+    common("sweep", "repeat analyze over a swept parameter")
     p = sub.add_parser("preset", help="list or show presets")
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("name", nargs="?")
@@ -673,7 +663,7 @@ def _dispatch(args):
         return
 
     if args.command == "sweep":
-        cmd_sweep(_require_config(args), args.out, workers=args.workers)
+        cmd_sweep(_require_config(args), args.out)
         return
 
     raise ConfigError(f"unknown command {args.command!r}")

@@ -8,8 +8,13 @@ Optional cross-traffic flows bypass the edges and enter the core directly.
 
 Modelling choices:
 
-* windows are fractional (w += 1/w per ack and so on); a flow may transmit
-  while the number of packets in flight is below floor(w);
+* windows are fractional; a flow may transmit while the number of packets
+  in flight is below floor(w);
+* the loss-based window ``cwnd`` grows by i(cwnd) per ack and loses d(cwnd)
+  per backoff, both from ``protocols.window_laws`` (Reno's laws for
+  Compound's ``cwnd``, as in CTCP).  Compound's delay-based ``dwnd`` rule
+  (once per window of acks: alpha w^k - 1 below the backlog threshold gamma,
+  a zeta drain above it) is packet-level only;
 * a dropped packet is detected by its sender once three later packets of the
   same flow have been delivered (triple-duplicate-ack abstraction); there are
   no retransmissions, no timeouts and no slow start - flows start in
@@ -40,7 +45,7 @@ from itertools import count
 import numpy as np
 
 from .errors import SimulationError
-from .protocols import COMPOUND, ILLINOIS, RENO, ProtocolSpec
+from .protocols import COMPOUND, ProtocolSpec, window_laws
 from .signals import autocorr_period, bandpass
 from .trace import Trace
 
@@ -104,7 +109,7 @@ class FlowGroup:
 
 class _Flow:
     __slots__ = (
-        "spec", "variant", "edge", "prop", "access_rate", "set_id",
+        "spec", "variant", "gain", "total_gain", "edge", "prop", "access_rate", "set_id",
         "cwnd", "dwnd", "base_rtt", "last_rtt", "next_seq", "in_flight",
         "sent", "delivered", "dropped", "detected", "dropped_pending",
         "recovery_until", "acks_in_round", "round_size", "access_free",
@@ -114,6 +119,11 @@ class _Flow:
     def __init__(self, spec, edge, prop, access_rate, set_id, start_time):
         self.spec = spec
         self.variant = spec.variant
+        # the loss-based window runs Reno's laws under Compound, as in CTCP;
+        # Compound's own laws act on the total window after a loss
+        compound = spec.variant == COMPOUND
+        self.gain = window_laws(ProtocolSpec.reno() if compound else spec).gain
+        self.total_gain = window_laws(spec).gain if compound else None
         self.edge = edge
         self.prop = prop
         self.access_rate = access_rate
@@ -137,19 +147,15 @@ class _Flow:
 
     @property
     def window(self):
-        if self.variant == COMPOUND:
-            return self.cwnd + self.dwnd
-        return self.cwnd
+        return self.cwnd + self.dwnd
 
 
 def _on_ack(flow):
-    """Per-ack window growth (flow.last_rtt/base_rtt already updated)."""
-    if flow.variant == RENO:
-        flow.cwnd += 1.0 / flow.cwnd
-    elif flow.variant == ILLINOIS:
-        flow.cwnd += flow.spec.alpha_max / flow.cwnd
-    else:
-        flow.cwnd += 1.0 / flow.cwnd
+    """Per-ack growth of the loss-based window by i(cwnd) = gain(cwnd, 0);
+    Compound also runs its per-round delay rule on ``dwnd``
+    (flow.last_rtt/base_rtt already updated)."""
+    flow.cwnd += flow.gain(flow.cwnd, 0.0)
+    if flow.variant == COMPOUND:
         flow.acks_in_round += 1
         if flow.acks_in_round >= flow.round_size:
             w = flow.window
@@ -166,15 +172,14 @@ def _on_ack(flow):
 
 
 def _on_loss(flow):
-    """Multiplicative backoff after a detected drop."""
-    if flow.variant == RENO:
-        flow.cwnd = max(flow.cwnd / 2.0, 1.0)
-    elif flow.variant == ILLINOIS:
-        flow.cwnd = max((1.0 - flow.spec.beta_min) * flow.cwnd, 1.0)
-    else:
+    """Multiplicative backoff after a detected drop: cwnd loses d(cwnd), with
+    gain(w, 1) = -d(w).  Compound's dwnd keeps what its own d(w) leaves of the
+    total window w above the backed-off cwnd."""
+    backed_off = flow.cwnd + flow.gain(flow.cwnd, 1.0)
+    if flow.variant == COMPOUND:
         w = flow.window
-        flow.dwnd = max(w * (1.0 - flow.spec.beta) - flow.cwnd / 2.0, 0.0)
-        flow.cwnd = max(flow.cwnd / 2.0, 1.0)
+        flow.dwnd = max(w + flow.total_gain(w, 1.0) - backed_off, 0.0)
+    flow.cwnd = max(backed_off, 1.0)
 
 
 def _detect_losses(flow, acked_seq):

@@ -61,16 +61,16 @@ class ProtocolSpec:
                 raise ValueError("Illinois requires 0 < beta_min < 1")
 
     @classmethod
-    def compound(cls, alpha=0.125, beta=0.5, k=0.75, gamma=30.0, zeta=0.5):
-        return cls(COMPOUND, alpha=alpha, beta=beta, k=k, gamma=gamma, zeta=zeta)
+    def compound(cls, **params):
+        return cls(COMPOUND, **params)
 
     @classmethod
     def reno(cls):
         return cls(RENO)
 
     @classmethod
-    def illinois(cls, alpha_max=10.0, beta_min=0.125):
-        return cls(ILLINOIS, alpha_max=alpha_max, beta_min=beta_min)
+    def illinois(cls, **params):
+        return cls(ILLINOIS, **params)
 
 
 class WindowLaws(NamedTuple):

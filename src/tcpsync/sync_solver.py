@@ -259,7 +259,7 @@ def _scan_roots(problem):
     scale = max(1.0, abs(problem.omega1), abs(problem.omega2), abs(s), abs(d))
 
     grid, cos_ot, sin_ot = _scan_grid(omega_max, tau)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sin_phi = detuning / (2.0 * s * cos_ot)
     feasible = np.isfinite(sin_phi) & (np.abs(sin_phi) <= 1.0)
     ok = feasible[:-1] | feasible[1:]

@@ -8,7 +8,9 @@ rule, the per-step Heun loop the DDE integrator is held bit-identical to,
 the block integrator as it stepped the whole state per call, the
 one-row-at-a-time trace writers the streamed ones are held
 byte-identical to, the packet event loop with explicit service events
-that the Lindley routers are held to, and the hand-written bisection loops
+that the Lindley routers are held to, run with the per-variant window
+updates the packet simulator wrote out before it called
+``protocols.window_laws``, and the hand-written bisection loops
 of the equilibrium solvers, the sync scan and the coupling window that the
 shared ``equilibrium.halve`` is held bit-identical to, and the four
 simulators as each wired its own run before ``dde_sim`` gave them one run
@@ -31,8 +33,8 @@ from tcpsync.equilibrium import BISECT_RTOL, EquilibriumState, solve_coupled, so
 from tcpsync.errors import NoRootError, SimulationError
 from tcpsync.linear_analysis import delay_coefficients
 from tcpsync.loss_models import core_loss_fn, edge_loss_fn, loss_at
-from tcpsync.packet_sim import DUPACK_DETECT, ScenarioResult, _Flow, _on_ack, _on_loss
-from tcpsync.protocols import window_laws
+from tcpsync.packet_sim import DUPACK_DETECT, ScenarioResult, _Flow
+from tcpsync.protocols import ILLINOIS, RENO, window_laws
 from tcpsync.sync_solver import POLISH_RTOL, SCAN_POINTS, SyncState, _wrap, order_parameter
 from tcpsync.trace import Trace
 
@@ -123,18 +125,6 @@ def count_rhp_roots(a, c, tau, radius=None, n_pts=40000):
         d += 2 * math.pi
     total += d
     return int(round(total / (2 * math.pi)))
-
-
-def rightmost_crossing_frequency(a, c, tau, omega_hi=None, n=200001):
-    """Imaginary parts where the characteristic function nearly vanishes on
-    the imaginary axis (for marginal cases); brute scan refinement."""
-    f = char_function(a, c, tau)
-    if omega_hi is None:
-        omega_hi = 2.0 * (a + c) + 1.0
-    omegas = np.linspace(0.0, omega_hi, n)
-    mags = np.array([abs(f(1j * om)) for om in omegas])
-    k = int(np.argmin(mags))
-    return omegas[k]
 
 
 def brute_sync_roots(omega1, omega2, d_gain, s_gain, tau, omega_max, n_om=2500, n_ph=1500):
@@ -413,6 +403,41 @@ def reference_write_json(trace, path):
         fh.write("\n")
 
 
+def reference_on_ack(flow):
+    """Per-ack window growth (flow.last_rtt/base_rtt already updated)."""
+    if flow.variant == RENO:
+        flow.cwnd += 1.0 / flow.cwnd
+    elif flow.variant == ILLINOIS:
+        flow.cwnd += flow.spec.alpha_max / flow.cwnd
+    else:
+        flow.cwnd += 1.0 / flow.cwnd
+        flow.acks_in_round += 1
+        if flow.acks_in_round >= flow.round_size:
+            w = flow.window
+            if math.isfinite(flow.last_rtt) and flow.last_rtt > 0:
+                diff = (w / flow.base_rtt - w / flow.last_rtt) * flow.base_rtt
+            else:
+                diff = 0.0
+            if diff < flow.spec.gamma:
+                flow.dwnd += max(flow.spec.alpha * w**flow.spec.k - 1.0, 0.0)
+            else:
+                flow.dwnd = max(flow.dwnd - flow.spec.zeta * diff, 0.0)
+            flow.acks_in_round = 0
+            flow.round_size = max(int(flow.window), 1)
+
+
+def reference_on_loss(flow):
+    """Multiplicative backoff after a detected drop."""
+    if flow.variant == RENO:
+        flow.cwnd = max(flow.cwnd / 2.0, 1.0)
+    elif flow.variant == ILLINOIS:
+        flow.cwnd = max((1.0 - flow.spec.beta_min) * flow.cwnd, 1.0)
+    else:
+        w = flow.window
+        flow.dwnd = max(w * (1.0 - flow.spec.beta) - flow.cwnd / 2.0, 0.0)
+        flow.cwnd = max(flow.cwnd / 2.0, 1.0)
+
+
 class _ReferenceRouter:
     __slots__ = ("name", "rate", "buffer", "queue", "count", "busy",
                  "drops", "served", "busy_time")
@@ -516,7 +541,7 @@ def reference_run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
                 flow.in_flight -= 1
                 flow.detected += 1
                 if seq > flow.recovery_until:
-                    _on_loss(flow)
+                    reference_on_loss(flow)
                     flow.recovery_until = flow.next_seq - 1
             else:
                 remaining.append(entry)
@@ -574,7 +599,7 @@ def reference_run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
             if rtt < flow.base_rtt:
                 flow.base_rtt = rtt
             detect_losses(flow, seq, t)
-            _on_ack(flow)
+            reference_on_ack(flow)
             maybe_send(flow, t)
         elif kind == "start":
             maybe_send(payload, t)
@@ -602,7 +627,7 @@ def reference_run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
                     flow.in_flight -= 1
                     flow.detected += 1
                     if seq > flow.recovery_until:
-                        _on_loss(flow)
+                        reference_on_loss(flow)
                         flow.recovery_until = flow.next_seq - 1
                     maybe_send(flow, t)
                     progressed = True

@@ -17,11 +17,16 @@ from tcpsync.packet_sim import (
     queue_oscillation,
     run_scenario,
 )
-from tcpsync.protocols import ProtocolSpec
+from tcpsync.protocols import COMPOUND, ProtocolSpec, window_laws
 from tcpsync.signals import autocorr_period, bandpass, local_maxima
 from tcpsync.trace import Trace
 
-from oracles import aimd_sawtooth_period, reference_run_scenario
+from oracles import (
+    aimd_sawtooth_period,
+    reference_on_ack,
+    reference_on_loss,
+    reference_run_scenario,
+)
 
 
 def make_flow(spec):
@@ -98,6 +103,78 @@ def test_compound_backlog_threshold_inclusive():
     dwnd0 = f.dwnd
     _on_ack(f)
     assert f.dwnd == pytest.approx(max(dwnd0 - spec.zeta * spec.gamma, 0.0), rel=1e-9)
+
+
+# the default specs, as every preset runs them
+protocols = st.sampled_from([ProtocolSpec.reno(), ProtocolSpec.illinois(), ProtocolSpec.compound()])
+
+
+@st.composite
+def flow_states(draw, specs):
+    """A flow of one of ``specs`` in a drawn state: windows, measured RTTs
+    (or none yet) and the Compound round counters."""
+    f = make_flow(draw(specs))
+    f.cwnd = draw(st.floats(1.0, 1e4))
+    if f.variant == COMPOUND:
+        f.dwnd = draw(st.floats(0.0, 1e4))
+    if draw(st.booleans()):
+        f.base_rtt = draw(st.floats(1e-4, 1.0))
+        f.last_rtt = f.base_rtt * draw(st.floats(1.0, 20.0))
+    f.round_size = draw(st.integers(1, 500))
+    f.acks_in_round = draw(st.integers(0, f.round_size - 1))
+    return f
+
+
+def flow_state(f):
+    return (f.cwnd, f.dwnd, f.base_rtt, f.last_rtt, f.acks_in_round, f.round_size)
+
+
+def copy_flow(f):
+    g = make_flow(f.spec)
+    g.cwnd, g.dwnd, g.base_rtt, g.last_rtt, g.acks_in_round, g.round_size = flow_state(f)
+    return g
+
+
+@settings(max_examples=300)
+@given(flow_states(protocols), st.sampled_from([_on_ack, _on_loss]))
+def test_window_updates_match_the_written_out_laws(f, update):
+    """For the default specs, one ack or one loss leaves the same state, bit
+    for bit, as the per-variant laws the simulator once wrote out itself."""
+    ref = copy_flow(f)
+    update(f)
+    {_on_ack: reference_on_ack, _on_loss: reference_on_loss}[update](ref)
+    assert repr(flow_state(f)) == repr(flow_state(ref))
+
+
+drawn_specs = st.one_of(
+    st.builds(ProtocolSpec.illinois, alpha_max=st.floats(0.01, 100.0),
+              beta_min=st.floats(0.01, 0.99)),
+    st.builds(ProtocolSpec.compound, beta=st.floats(0.01, 0.99)),
+    st.just(ProtocolSpec.reno()),
+)
+
+
+@settings(max_examples=300)
+@given(flow_states(drawn_specs))
+def test_window_updates_run_the_protocol_laws(f):
+    """With drawn parameters, an ack adds exactly i(cwnd) and a loss leaves
+    max(cwnd - d(cwnd), 1), from ``window_laws`` (Reno's laws for Compound's
+    loss-based window); Compound's dwnd keeps what its own d(w) leaves of the
+    total window above the backed-off cwnd."""
+    spec = f.spec
+    compound = spec.variant == COMPOUND
+    loss_laws = window_laws(ProtocolSpec.reno() if compound else spec)
+    cwnd, w = f.cwnd, f.window
+    g = copy_flow(f)
+    _on_ack(g)
+    assert g.cwnd == cwnd + loss_laws.increase(cwnd)
+    _on_loss(f)
+    backed_off = cwnd - loss_laws.decrease(cwnd)
+    assert f.cwnd == max(backed_off, 1.0)
+    if compound:
+        assert f.dwnd == max(w - window_laws(spec).decrease(w) - backed_off, 0.0)
+    else:
+        assert f.dwnd == 0.0
 
 
 def single_queue_scenario(duration=60.0, seed=1):
@@ -232,7 +309,6 @@ def test_core_bottleneck_warning():
 
 # ------------------------------------------------ Lindley routers vs reference
 
-protocols = st.sampled_from([ProtocolSpec.reno(), ProtocolSpec.illinois(), ProtocolSpec.compound()])
 rates = st.floats(40.0, 1500.0)  # packets/s
 
 # small buffers half the time, so that drops and their detection are common

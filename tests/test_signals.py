@@ -51,8 +51,8 @@ def test_analytic_signal_matches_scipy_hilbert(x):
 
 
 def test_cli_import_loads_no_scipy():
-    """Importing the CLI loads neither scipy nor the process-pool machinery,
-    which only ``sweep --workers N`` with N > 1 needs."""
+    """Importing the CLI loads neither scipy nor any process-pool machinery:
+    every command runs in the one process."""
     code = (
         "import sys, tcpsync.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
         "in ('scipy', 'multiprocessing') or m == 'concurrent.futures.process'))"

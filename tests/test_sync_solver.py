@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,14 @@ def test_detuned_below_critical_coupling_is_empty():
     # |sin phi0| = |detuning| / (2 K |cos|) > 1 for K this small
     p = inter_problem(omega1=50.0, omega2=53.0, K=0.4)
     assert solve_sync(p) == []
+
+
+def test_subnormal_coupling_warns_nothing():
+    """A coupling of 2.2e-309 overflows the scan's sin phi0 quotient; that
+    infeasible grid point is dropped without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_sync(inter_problem(291.378, 291.803, 2.2e-309, 1.0 / 3.0)) == []
 
 
 def test_degenerate_cosine_rejected():
