@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -577,7 +577,10 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
+@cache
 def build_parser():
+    """The command-line parser; built once per process, as parsing leaves it
+    unchanged."""
     parser = _Parser(prog="tcpsync", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -39,11 +39,13 @@ every K >= 0 that solves
 
     (sigma^2 - delta^2) K^2 + 2 delta Y K - (X^2 + Y^2) = 0.
 
-``critical_coupling`` is the curve's minimum; the scan's per-cell search and
-the curve's polish bisect through ``equilibrium.halve``.  A scanned candidate
-is listed only when its Newton polish solves the pair to ``POLISH_RTOL`` of
-the frequency scale, or to its rounding floor ``FLOOR_RTOL`` where that is
-larger (Omega tau in the hundreds), so no state is listed below K_c.
+``critical_coupling`` is the curve's minimum.  The scan's per-cell search on
+the averaged relation and the curve's polish on the sign of K'(Omega) both
+run ``equilibrium.find_root``, a bracketed Brent-Dekker search that stops at
+float resolution.  A scanned candidate is listed only when its Newton polish
+solves the pair to ``POLISH_RTOL`` of the frequency scale, or to its
+rounding floor ``FLOOR_RTOL`` where that is larger (Omega tau in the
+hundreds), so no state is listed below K_c.
 """
 
 import functools
@@ -52,7 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import halve
+from .equilibrium import find_root
 from .loss_models import INTERMEDIATE, REGIMES
 
 #: number of points in the frequency scan grid
@@ -239,10 +241,10 @@ def _scan_roots(problem):
     Both arcsin branches of phi0(Omega) are grid-scanned, the cos(phi0) > 0
     branch first.  Within each contiguous feasible run of the grid the
     averaged relation G(Omega) = mean(omega) + D sin + S sin cos(phi0) - Omega
-    is sign-scanned; each crossing, in grid order, is bisected and handed to
-    a joint Newton polish of the full steady-state pair, and yielded once the
-    polish converges unless it leaves (0, problem.omega_max] or repeats a
-    root already yielded.  A caller that stops early has seen a prefix of
+    is sign-scanned; each crossing, in grid order, is solved on its cell by
+    ``find_root`` and handed to a joint Newton polish of the full
+    steady-state pair, and yielded once the polish converges unless it leaves
+    (0, problem.omega_max] or repeats a root already yielded.  A caller that stops early has seen a prefix of
     the full root set.
     """
     omega_bar = 0.5 * (problem.omega1 + problem.omega2)
@@ -283,12 +285,9 @@ def _scan_roots(problem):
         g = omega_bar + d * sin_ot + sign * s * sin_ot * cos_phi_mag - grid
         flip = ok & (np.sign(g[:-1]) != np.sign(g[1:]))
         for idx in np.nonzero(flip)[0]:
-            # uncapped: a cell is no wider than its low end, so the bracket
-            # reaches float resolution within 53 halvings
-            up = g[idx] > 0.0
-            lo, hi = halve(lambda om: (branch_at(om, sign)[1] > 0.0) == up,
-                           grid[idx], grid[idx + 1])
-            om = 0.5 * (lo + hi)
+            # the grid's own values of G open the search on the cell
+            om = find_root(lambda om: branch_at(om, sign)[1],
+                           grid[idx], grid[idx + 1], g[idx], g[idx + 1])[0]
             asin_sp = math.asin(branch_at(om, sign)[0])
             phi = asin_sp if sign > 0 else _wrap(math.pi - asin_sp)
             polished = _newton_polish(problem, d, s, om, phi, scale)
@@ -297,7 +296,8 @@ def _scan_roots(problem):
             om, phi = polished
             if om <= 0.0 or om > omega_max * (1.0 + 1e-9):
                 continue
-            if any(abs(om - o) <= 1e-7 * (1.0 + abs(o)) and abs(phi - p) <= 1e-6
+            # phases compare wrapped: pi and -pi + 1e-16 are one antiphase state
+            if any(abs(om - o) <= 1e-7 * (1.0 + abs(o)) and abs(_wrap(phi - p)) <= 1e-6
                    for o, p in roots):
                 continue
             roots.append((om, phi))
@@ -379,11 +379,12 @@ def critical_coupling(problem):
     ``solve_sync`` reports at K = 0.  The curve is sampled on the shared scan
     grid and on the fans of ``_fans``: next to the mean frequency sits a dip
     about |X| wide that no grid resolves at small detuning.  Each sampled
-    local minimum within a factor 2 of the lowest sample is polished by
-    bisecting on the sign of K'(Omega) between its sampled neighbours, the
-    bracket cut at the curve's poles (cos a = 0, sin a = 0, and Y = 0 where
-    no root exists across it).  Returns inf when no sample is finite; never
-    raises.  K_c is exact, so it can lie below the first K at which the scan
+    local minimum within a factor 2 of the lowest sample is polished by a
+    ``find_root`` search on the sign of K'(Omega) between its sampled
+    neighbours, the bracket cut at the curve's poles (cos a = 0, sin a = 0,
+    and Y = 0 where no root exists across it); where the sign does not
+    change across that bracket, its ends are the candidates.  Returns inf
+    when no sample is finite; never raises.  K_c is exact, so it can lie below the first K at which the scan
     of ``solve_sync`` lists a root, where that scan misses a near-tangent
     root pair.
     """
@@ -433,14 +434,20 @@ def critical_coupling(problem):
         if area <= 0.0:  # no root on one side of Y = 0
             lo, hi = (max(lo, 0.0), hi) if centre > 0.0 else (lo, min(hi, 0.0))
 
-        def above(t):
-            """Whether the minimum lies above t; where the curve has no root,
-            the side of the sampled centre decides."""
+        def descent(t):
+            """-K'(t) up to a positive factor, positive below the minimum;
+            where the curve has no root, the side of the sampled centre
+            decides, as an infinite value."""
             k, slope = at(t)
-            return slope < 0.0 if math.isfinite(k) else t < centre
+            if math.isfinite(k):
+                return -slope
+            return math.inf if t < centre else -math.inf
 
-        lo, hi = halve(above, lo, hi)
-        k_c = min(k_c, at(lo)[0], at(hi)[0])
+        ends = lo, hi
+        d_lo, d_hi = descent(lo), descent(hi)
+        if (d_lo > 0.0) != (d_hi > 0.0):
+            ends = find_root(descent, lo, hi, d_lo, d_hi)
+        k_c = min(k_c, *(at(t)[0] for t in ends))
     return k_c
 
 

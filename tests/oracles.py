@@ -12,7 +12,8 @@ that the Lindley routers are held to, run with the per-variant window
 updates the packet simulator wrote out before it called
 ``protocols.window_laws``, and the hand-written bisection loops
 of the equilibrium solvers, the sync scan and the coupling window that the
-shared ``equilibrium.halve`` is held bit-identical to, and the four
+Brent-Dekker searches of ``equilibrium.find_root`` are held to within a
+tolerance, and the four
 simulators as each wired its own run before ``dde_sim`` gave them one run
 path and one fluid right-hand side, and the critical coupling as the minimum
 of the locked-state curve over a dense grid, refined by scipy.  Tests compare
@@ -29,7 +30,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from tcpsync.dde_sim import STEPS_PER_DELAY, W_FLOOR, _kick_tuple
-from tcpsync.equilibrium import BISECT_RTOL, EquilibriumState, solve_coupled, solve_single
+from tcpsync.equilibrium import EquilibriumState, solve_coupled, solve_single
 from tcpsync.errors import NoRootError, SimulationError
 from tcpsync.linear_analysis import delay_coefficients
 from tcpsync.loss_models import core_loss_fn, edge_loss_fn, loss_at
@@ -40,6 +41,8 @@ from tcpsync.trace import Trace
 
 #: the former acceptance of polished roots, relative to the frequency scale
 ACCEPT_RTOL = 1e-9
+#: the relative bracket width at which the former equilibrium bisection stopped
+BISECT_RTOL = 1e-13
 #: the former bisection steps that sharpened the coupling window's K_u
 REFINE_STEPS = 40
 

@@ -253,6 +253,31 @@ def test_cli_closed_stdout_pipe_exits_quietly(unbuffered):
         assert err == b"", argv
 
 
+def test_cli_main_reuses_its_parser_without_changing_output(tmp_path, monkeypatch):
+    """Several ``main`` calls in one process share one parser; each gives the
+    stdout, stderr and exit code of the same command in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in both processes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(analyze_config()))
+    calls = [
+        ["analyze", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        ["analyze", "--seed", "5", "--config", str(cfg)],
+        ["--help"],
+        ["preset", "list"],
+    ]
+    fresh = [run_cli(argv) for argv in calls]
+    for _ in range(2):
+        for argv, want in zip(calls, fresh):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse after printing --help
+                    code = exc.code
+            assert (code, out.getvalue(), err.getvalue()) == (
+                want.returncode, want.stdout, want.stderr), argv
+
+
 def test_cli_phase_simulation(tmp_path):
     cfg = {
         "model": "intermediate-equal",

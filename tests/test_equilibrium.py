@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from tcpsync.equilibrium import _bracket, solve_coupled, solve_single
+from tcpsync.equilibrium import _bracket, _decreasing_root, find_root, solve_coupled, solve_single
 from tcpsync.errors import NoRootError
 from tcpsync.loss_models import (
     INTERMEDIATE,
     SMALL_BUFFER,
     NetworkParams,
     core_loss,
+    core_loss_fn,
     edge_loss,
     edge_loss_fn,
 )
@@ -103,12 +104,64 @@ def test_single_residual_monotone_on_bracket(spec, regime):
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_no_root_reports_bracket():
-    from tcpsync.equilibrium import _bisect
+def bisection_count(f, a, b):
+    """Evaluations that halving [a, b] makes before no double lies strictly
+    inside the bracket or it meets an exact zero."""
+    fa, count = f(a), 0
+    while a < 0.5 * (a + b) < b:
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        count += 1
+        if fm == 0.0:
+            break
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return count
 
+
+FINDER_CASES = {
+    # sign only: interpolation has nothing to go on
+    "step": (lambda x: 1.0 if x < 1.0 / 3.0 else -1.0, 0.0, 1.0),
+    # the 1/w pole of the gain at the 1e-6 end of the inner bracket
+    "pole": (lambda w: 1.0 / w - 0.07, 1e-6, 200.0),
+    # zero on a plateau 5e-6 wide, stepped by rounding around it
+    "flat": (lambda x: ((0.3 - x) ** 3 + 1.0) - 1.0, 0.0, 1.0),
+    # -inf, then NaN, over the upper end of the bracket
+    "non-finite": (lambda x: math.nan if x > 0.9 else -math.inf if x > 0.7 else 0.6 - x * x,
+                   0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", FINDER_CASES)
+@pytest.mark.parametrize("reverse", [False, True], ids=["ascending", "descending"])
+def test_find_root_brackets_within_bisection_count(case, reverse):
+    """On each hard input the search makes at most 12 evaluations more than
+    bisection, and its ends still bracket the sign change at float
+    resolution (or meet an exact zero)."""
+    f, a, b = FINDER_CASES[case]
+    if reverse:
+        a, b = b, a
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return f(x)
+
+    x, y = find_root(counted, a, b, f(a), f(b))
+    assert calls <= bisection_count(f, min(a, b), max(a, b)) + 12
+    assert min(a, b) <= min(x, y) <= max(x, y) <= max(a, b)
+    if f(x) != 0.0:
+        assert (f(x) > 0.0) != (f(y) > 0.0)
+        assert 0.5 * (x + y) in (x, y)
+
+
+def test_no_root_reports_bracket():
     with pytest.raises(NoRootError) as exc:
         # residual already negative at the lower bracket edge
-        _bisect(lambda w: -1.0, 1e-6, 10.0)
+        _decreasing_root(lambda w: -1.0, 1e-6, 10.0)
     assert exc.value.bracket == (1e-6, 10.0)
 
 
@@ -135,10 +188,10 @@ def test_coupled_exchange_symmetry():
     assert a2.w_star == pytest.approx(b1.w_star, rel=1e-12)
 
 
-def test_coupled_bisection_stops_at_float_resolution(monkeypatch):
-    """README analyze config: the core-loss bisection stops once no double
-    lies strictly inside its bracket, instead of running all 120 steps (about
-    5,800 gain calls against 12,058)."""
+def test_coupled_search_is_superlinear(monkeypatch):
+    """README analyze config: the warm-started Brent-Dekker searches solve
+    the coupled equilibrium in 288 gain calls; the bisections they replaced
+    made 5,786."""
     from tcpsync import equilibrium
 
     calls = 0
@@ -157,7 +210,34 @@ def test_coupled_bisection_stops_at_float_resolution(monkeypatch):
     net = NetworkParams(c_prime=300.0, tau=0.105, b=50.0, C_tilde=1.97 * 300.0, B=100.0)
     eq1, _ = solve_coupled(ProtocolSpec.compound(), INTERMEDIATE, net, 0.1, 0.11)
     assert eq1.p_core_star > 0.0
-    assert calls < 8000
+    assert calls <= 350
+
+
+def test_coupled_warm_bracket_falls_back_to_the_full_one(monkeypatch):
+    """An inner solve whose warm bracket shows no sign change reruns on the
+    full bracket: with every warm bracket refused, the solve still lands on
+    the same fixed point."""
+    from tcpsync import equilibrium
+
+    spec, net, taus = ProtocolSpec.compound(), core_net(), (0.1, 0.11)
+    want = solve_coupled(spec, SMALL_BUFFER, net, *taus)
+    full_tops = {10.0 * net.c_prime * tau for tau in taus}
+    fallbacks = 0
+    solve = equilibrium._decreasing_root
+
+    def warm_refused(f, lo, hi):
+        nonlocal fallbacks
+        if hi not in full_tops:
+            fallbacks += 1
+            raise NoRootError("warm bracket refused", bracket=(lo, hi))
+        return solve(f, lo, hi)
+
+    monkeypatch.setattr(equilibrium, "_decreasing_root", warm_refused)
+    got = solve_coupled(spec, SMALL_BUFFER, net, *taus)
+    assert fallbacks > 10
+    for g, w in zip(got, want):
+        assert g.w_star == pytest.approx(w.w_star, rel=1e-12)
+        assert abs(g.residual) <= 1e-10
 
 
 def test_coupled_huge_core_capacity_decouples():
@@ -194,6 +274,33 @@ COUPLED_CASES = [
 ]
 
 
+def fixed_point_mismatch(regime, net, tau1, tau2, states):
+    """(|core loss of the solved windows - the reported core loss|, its
+    rounding floor): the floor is the move of the core loss under a 4 ulp
+    move of the aggregate rate, plus one ulp of the core loss."""
+    e1, e2 = states
+    core = core_loss_fn(regime, net.C_tilde, net.B, net.n_c)
+    rate = e1.w_star / tau1 + e2.w_star / tau2
+    floor = abs(core(rate * (1.0 + 4 * 2.0**-52)) - core(rate)) + math.ulp(e1.p_core_star)
+    return abs(core(rate) - e1.p_core_star), floor
+
+
+def assert_matches_reference(spec, regime, net, tau1, tau2, states):
+    """The coupled windows within 1e-8 of the former bisection's, with a
+    fixed-point mismatch no larger than its or within the rounding floor;
+    the single-set window within 1e-12 of its; both residuals below 1e-10."""
+    ref = reference_solve_coupled(spec, regime, net, tau1, tau2)
+    for got, want in zip(states, ref):
+        assert got.w_star == pytest.approx(want.w_star, rel=1e-8, abs=0.0)
+        assert abs(got.residual) <= 1e-10
+    mismatch, floor = fixed_point_mismatch(regime, net, tau1, tau2, states)
+    assert mismatch <= max(fixed_point_mismatch(regime, net, tau1, tau2, ref)[0], floor)
+    gain = window_laws(spec).gain
+    loss = edge_loss_fn(regime, net.c_prime, net.tau, net.b, net.n_e)
+    w = reference_bisect(lambda w: gain(w, loss(w)), *_bracket(regime, net))
+    assert solve_single(spec, regime, net).w_star == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("spec, regime, core_kw", COUPLED_CASES)
 def test_coupled_residuals_and_independent_root(spec, regime, core_kw):
     """Residuals below 1e-10 and agreement with a scipy multi-dimensional
@@ -201,13 +308,7 @@ def test_coupled_residuals_and_independent_root(spec, regime, core_kw):
     net = core_net(**core_kw)
     tau1, tau2 = 0.1, 0.11
     e1, e2 = solve_coupled(spec, regime, net, tau1, tau2)
-    assert repr((e1, e2)) == repr(reference_solve_coupled(spec, regime, net, tau1, tau2))
-    gain = window_laws(spec).gain
-    loss = edge_loss_fn(regime, net.c_prime, net.tau, net.b, net.n_e)
-    w = reference_bisect(lambda w: gain(w, loss(w)), *_bracket(regime, net))
-    assert repr(solve_single(spec, regime, net).w_star) == repr(w)
-    assert abs(e1.residual) <= 1e-10
-    assert abs(e2.residual) <= 1e-10
+    assert_matches_reference(spec, regime, net, tau1, tau2, (e1, e2))
 
     def system(ws):
         w1, w2 = ws
@@ -224,10 +325,15 @@ def test_coupled_residuals_and_independent_root(spec, regime, core_kw):
 
 def test_single_large_small_buffer_saturates_instead_of_overflowing():
     """(w/c'tau)**b overflows a float at the top of the bracket once b is
-    in the hundreds; the loss saturates at 1 there, as in the array path."""
+    in the hundreds; the loss saturates at 1 there, as in the array path.
+    The window keeps its bits and agrees with plain bisection."""
     net = NetworkParams(c_prime=200.0, tau=0.1, b=400)
     eq = solve_single(ProtocolSpec.reno(), SMALL_BUFFER, net)
-    assert eq.w_star == 19.737880194090636
+    assert eq.w_star == 19.737880194090014
+    gain = window_laws(ProtocolSpec.reno()).gain
+    w = plain_bisect(lambda w: gain(w, edge_loss(SMALL_BUFFER, w, net)),
+                     *_bracket(SMALL_BUFFER, net))
+    assert eq.w_star == pytest.approx(w, rel=1e-12, abs=0.0)
 
 
 def _dimensioning(capacity_pkts, n_flows):
@@ -248,8 +354,9 @@ def _dimensioning(capacity_pkts, n_flows):
 def test_coupled_property_over_analyze_box(spec, regime, c_prime, factor, rtt1, ratio, b, B):
     """Over the parameter box of the analyze benchmark workload: residuals at
     the noise floor, the core loss inside [0, p0] (p0 the core loss at the
-    edge-only windows), exact exchange symmetry in the two delays, and the
-    same bits as the hand-written loops that ``halve`` replaced."""
+    edge-only windows), exact exchange symmetry in the two delays, and
+    agreement with the hand-written bisection loops that ``find_root``
+    replaced, with a fixed-point mismatch no larger than theirs."""
     if regime == INTERMEDIATE:
         b = _dimensioning(10.0 * c_prime, 10)
         B = _dimensioning(10.0 * factor * c_prime, 20)
@@ -257,13 +364,7 @@ def test_coupled_property_over_analyze_box(spec, regime, c_prime, factor, rtt1, 
     net = NetworkParams(c_prime=c_prime, tau=0.5 * (tau1 + tau2), b=b,
                         C_tilde=factor * c_prime, B=B)
     e1, e2 = solve_coupled(spec, regime, net, tau1, tau2)
-    assert repr((e1, e2)) == repr(reference_solve_coupled(spec, regime, net, tau1, tau2))
-    gain = window_laws(spec).gain
-    loss = edge_loss_fn(regime, net.c_prime, net.tau, net.b, net.n_e)
-    w = reference_bisect(lambda w: gain(w, loss(w)), *_bracket(regime, net))
-    assert repr(solve_single(spec, regime, net).w_star) == repr(w)
-    assert abs(e1.residual) <= 1e-10
-    assert abs(e2.residual) <= 1e-10
+    assert_matches_reference(spec, regime, net, tau1, tau2, (e1, e2))
 
     w1 = solve_single(spec, regime, replace(net, tau=tau1)).w_star
     w2 = solve_single(spec, regime, replace(net, tau=tau2)).w_star
@@ -275,3 +376,48 @@ def test_coupled_property_over_analyze_box(spec, regime, c_prime, factor, rtt1, 
     s1, s2 = solve_coupled(spec, regime, net, tau2, tau1)
     assert (s1.w_star, s2.w_star) == (e2.w_star, e1.w_star)
 
+
+@settings(max_examples=40)
+@given(
+    spec=st.sampled_from(SPECS),
+    regime=st.sampled_from([SMALL_BUFFER, INTERMEDIATE]),
+    c_prime=st.floats(50.0, 5000.0),
+    factor=st.floats(1.5, 1.97),
+    rtt1=st.floats(0.02, 0.2),
+    ratio=st.floats(1.0, 1.1),
+    b=st.floats(5.0, 30.0),
+    B=st.floats(15.0, 60.0),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+)
+def test_coupled_window_does_not_increase_with_core_loss(
+        spec, regime, c_prime, factor, rtt1, ratio, b, B, fractions):
+    """Over the analyze box, each set's balanced window w_m(q) at a trial core
+    loss q in [0, p0] does not increase with q beyond rounding, so windows
+    solved at two trial losses bracket the window at any loss between: the
+    warm start of the coupled solve rests on this."""
+    if regime == INTERMEDIATE:
+        b = _dimensioning(10.0 * c_prime, 10)
+        B = _dimensioning(10.0 * factor * c_prime, 20)
+    taus = (rtt1, rtt1 * ratio)
+    net = NetworkParams(c_prime=c_prime, tau=0.5 * sum(taus), b=b,
+                        C_tilde=factor * c_prime, B=B)
+    gain = window_laws(spec).gain
+    core = core_loss_fn(regime, net.C_tilde, net.B, net.n_c)
+
+    def window(tau, q):
+        """The oracle's balanced window at core loss q, None where none exists."""
+        loss = edge_loss_fn(regime, net.c_prime, tau, net.b, net.n_e)
+
+        def f(w):
+            return gain(w, loss(w) + q)
+
+        lo, hi = 1e-6, 10.0 * net.c_prime * tau
+        return plain_bisect(f, lo, hi) if f(lo) >= 0.0 else None
+
+    p0 = core(sum(window(tau, 0.0) / tau for tau in taus))
+    qs = sorted(u * p0 for u in fractions)
+    for tau in taus:
+        ws = [window(tau, q) for q in qs]
+        # a set that cannot balance at some loss cannot at any larger one
+        assert all(w2 is None or (w1 is not None and w2 <= w1 * (1.0 + 4 * 2.0**-52))
+                   for w1, w2 in zip(ws, ws[1:]))
