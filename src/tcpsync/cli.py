@@ -63,8 +63,11 @@ def dump_json(obj):
 
 
 def write_json(path, obj):
+    """Write ``obj`` as JSON to ``path``; returns the text written."""
+    text = dump_json(obj) + "\n"
     with open(path, "w") as fh:
-        fh.write(dump_json(obj) + "\n")
+        fh.write(text)
+    return text
 
 
 # --------------------------------------------------------------------------
@@ -627,8 +630,7 @@ def _dispatch(args):
         report = cmd_analyze(_require_config(args))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "report.json", report)
-        print(dump_json(report))
+        sys.stdout.write(write_json(out / "report.json", report))
         return
 
     if args.command == "simulate-fluid":
@@ -682,6 +684,9 @@ def main(argv=None):
             # too when argparse has printed --help and raised SystemExit
             sys.stdout.flush()
         return 0
+    except SystemExit as exc:
+        # argparse exits after printing --help; usage errors are ConfigErrors
+        return exc.code
     except BrokenPipeError:
         # the reader left early (``tcpsync preset list | head -1``): send the
         # rest of stdout to devnull, as in Python's signal docs, and fail quietly

@@ -46,6 +46,11 @@ float resolution.  A scanned candidate is listed only when its Newton polish
 solves the pair to ``POLISH_RTOL`` of the frequency scale, or to its
 rounding floor ``FLOOR_RTOL`` where that is larger (Omega tau in the
 hundreds), so no state is listed below K_c.
+
+The scan yields states as it accepts them, and evaluates its grid in two
+pieces split at 2 mean(omega), each only once a branch reaches it: a caller
+that stops early, as a ``coupling_range`` verdict does at the first stable
+state, pays only for the piece of the grid it has reached.
 """
 
 import functools
@@ -244,8 +249,14 @@ def _scan_roots(problem):
     is sign-scanned; each crossing, in grid order, is solved on its cell by
     ``find_root`` and handed to a joint Newton polish of the full
     steady-state pair, and yielded once the polish converges unless it leaves
-    (0, problem.omega_max] or repeats a root already yielded.  A caller that stops early has seen a prefix of
-    the full root set.
+    (0, problem.omega_max] or repeats a root already yielded.  A caller that
+    stops early has seen a prefix of the full root set.
+
+    The grid is evaluated in two pieces, up to its first point at or above
+    2 mean(omega) and the rest (one piece when that point is the grid's
+    first or last, or there is none), each when a branch first reaches it;
+    the second branch reuses the piece's branch-independent arrays.  A
+    caller that stops early pays only for the pieces it has reached.
     """
     omega_bar = 0.5 * (problem.omega1 + problem.omega2)
     omega_max = _omega_max(problem)
@@ -261,15 +272,29 @@ def _scan_roots(problem):
     scale = max(1.0, abs(problem.omega1), abs(problem.omega2), abs(s), abs(d))
 
     grid, cos_ot, sin_ot = _scan_grid(omega_max, tau)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sin_phi = detuning / (2.0 * s * cos_ot)
-    feasible = np.isfinite(sin_phi) & (np.abs(sin_phi) <= 1.0)
-    ok = feasible[:-1] | feasible[1:]
-    # clamping continues the scan function smoothly onto the feasibility
-    # boundary |sin phi0| = 1, where saddle-node root pairs sit; crossings
-    # found on half-feasible segments are validated by the Newton polish
-    sin_phi_cl = np.clip(np.nan_to_num(sin_phi, nan=2.0), -1.0, 1.0)
-    cos_phi_mag = np.sqrt(1.0 - sin_phi_cl**2)
+    # most sweep verdicts stop at a stable state below 2 mean(omega) (395 of
+    # 480 on the analyze benchmark's seed 1061), so the grid splits at its
+    # first point at or above that; the two pieces share the point
+    last = len(grid) - 1
+    cut = int(np.searchsorted(grid, 2.0 * omega_bar))
+    bounds = (0, cut, last) if 0 < cut < last else (0, last)
+
+    @functools.cache
+    def piece(lo, hi):
+        """The branch-independent arrays on grid points lo..hi: whether each
+        cell holds a feasible end, mean(omega) + D sin, and S sin cos(phi0)."""
+        points = slice(lo, hi + 1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            sin_phi = detuning / (2.0 * s * cos_ot[points])
+        feasible = np.abs(sin_phi) <= 1.0  # false for NaN and inf
+        # clamping continues the scan function smoothly onto the feasibility
+        # boundary |sin phi0| = 1, where saddle-node root pairs sit; crossings
+        # found on half-feasible segments are validated by the Newton polish;
+        # fmin maps NaN to 1
+        sin_phi_cl = np.fmax(np.fmin(sin_phi, 1.0), -1.0)
+        cos_phi_mag = np.sqrt(1.0 - sin_phi_cl**2)
+        return (feasible[:-1] | feasible[1:], omega_bar + d * sin_ot[points],
+                s * sin_ot[points] * cos_phi_mag)
 
     def branch_at(om, sign):
         """Scalar (sin phi0, G) on one branch, sin phi0 clamped as on the grid."""
@@ -282,26 +307,29 @@ def _scan_roots(problem):
 
     roots = []
     for sign in (+1.0, -1.0):  # cos(phi0) > 0 branch, then the pi-complement
-        g = omega_bar + d * sin_ot + sign * s * sin_ot * cos_phi_mag - grid
-        flip = ok & (np.sign(g[:-1]) != np.sign(g[1:]))
-        for idx in np.nonzero(flip)[0]:
-            # the grid's own values of G open the search on the cell
-            om = find_root(lambda om: branch_at(om, sign)[1],
-                           grid[idx], grid[idx + 1], g[idx], g[idx + 1])[0]
-            asin_sp = math.asin(branch_at(om, sign)[0])
-            phi = asin_sp if sign > 0 else _wrap(math.pi - asin_sp)
-            polished = _newton_polish(problem, d, s, om, phi, scale)
-            if polished is None:
-                continue
-            om, phi = polished
-            if om <= 0.0 or om > omega_max * (1.0 + 1e-9):
-                continue
-            # phases compare wrapped: pi and -pi + 1e-16 are one antiphase state
-            if any(abs(om - o) <= 1e-7 * (1.0 + abs(o)) and abs(_wrap(phi - p)) <= 1e-6
-                   for o, p in roots):
-                continue
-            roots.append((om, phi))
-            yield _make_state(problem, d, s, om, phi)
+        for lo, hi in zip(bounds, bounds[1:]):
+            ok, base, cross = piece(lo, hi)
+            g = (base + cross if sign > 0 else base - cross) - grid[lo:hi + 1]
+            sign_g = np.sign(g)
+            flip = ok & (sign_g[:-1] != sign_g[1:])
+            for i in np.nonzero(flip)[0]:
+                # the grid's own values of G open the search on the cell
+                om = find_root(lambda om: branch_at(om, sign)[1],
+                               grid[lo + i], grid[lo + i + 1], g[i], g[i + 1])[0]
+                asin_sp = math.asin(branch_at(om, sign)[0])
+                phi = asin_sp if sign > 0 else _wrap(math.pi - asin_sp)
+                polished = _newton_polish(problem, d, s, om, phi, scale)
+                if polished is None:
+                    continue
+                om, phi = polished
+                if om <= 0.0 or om > omega_max * (1.0 + 1e-9):
+                    continue
+                # phases compare wrapped: pi and -pi + 1e-16 are one antiphase state
+                if any(abs(om - o) <= 1e-7 * (1.0 + abs(o)) and abs(_wrap(phi - p)) <= 1e-6
+                       for o, p in roots):
+                    continue
+                roots.append((om, phi))
+                yield _make_state(problem, d, s, om, phi)
 
 
 def solve_sync(problem):

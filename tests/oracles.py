@@ -16,8 +16,10 @@ Brent-Dekker searches of ``equilibrium.find_root`` are held to within a
 tolerance, and the four
 simulators as each wired its own run before ``dde_sim`` gave them one run
 path and one fluid right-hand side, and the critical coupling as the minimum
-of the locked-state curve over a dense grid, refined by scipy.  Tests compare
-package results against these.
+of the locked-state curve over a dense grid, refined by scipy, and the sync
+scan as it evaluated its whole frequency grid at once, which the two-piece
+scan is held bit-identical to.  Tests compare package results against
+these.
 """
 
 import cmath
@@ -30,13 +32,23 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from tcpsync.dde_sim import STEPS_PER_DELAY, W_FLOOR, _kick_tuple
-from tcpsync.equilibrium import EquilibriumState, solve_coupled, solve_single
+from tcpsync.equilibrium import EquilibriumState, find_root, solve_coupled, solve_single
 from tcpsync.errors import NoRootError, SimulationError
 from tcpsync.linear_analysis import delay_coefficients
 from tcpsync.loss_models import core_loss_fn, edge_loss_fn, loss_at
 from tcpsync.packet_sim import DUPACK_DETECT, ScenarioResult, _Flow
 from tcpsync.protocols import ILLINOIS, RENO, window_laws
-from tcpsync.sync_solver import POLISH_RTOL, SCAN_POINTS, SyncState, _wrap, order_parameter
+from tcpsync.sync_solver import (
+    POLISH_RTOL,
+    SCAN_POINTS,
+    SyncState,
+    _make_state,
+    _newton_polish,
+    _omega_max,
+    _scan_grid,
+    _wrap,
+    order_parameter,
+)
 from tcpsync.trace import Trace
 
 #: the former acceptance of polished roots, relative to the frequency scale
@@ -1162,3 +1174,64 @@ def reference_simulate_phase_oscillators(params, cfg):
         "transient_fraction": cfg.transient_fraction,
     }
     return Trace(0.0, dt, {"theta1": th1, "theta2": th2, "r": r, "psi": psi}, meta)
+
+
+def whole_grid_scan_roots(problem):
+    """``sync_solver._scan_roots`` as it evaluated the whole frequency grid
+    at once, before the grid was split at 2 mean(omega): the locked states
+    in scan order, the cos(phi0) > 0 branch first."""
+    omega_bar = 0.5 * (problem.omega1 + problem.omega2)
+    omega_max = _omega_max(problem)
+    if problem.K == 0.0:
+        # uncoupled: a common frequency exists only without detuning, and the
+        # phase difference is then undetermined; report the zero representative
+        if problem.omega1 == problem.omega2:
+            yield _make_state(problem, *problem.gains(), problem.omega1, 0.0)
+        return
+    d, s = problem.gains()
+    detuning = problem.omega2 - problem.omega1
+    tau = problem.tau
+    scale = max(1.0, abs(problem.omega1), abs(problem.omega2), abs(s), abs(d))
+
+    grid, cos_ot, sin_ot = _scan_grid(omega_max, tau)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sin_phi = detuning / (2.0 * s * cos_ot)
+    feasible = np.isfinite(sin_phi) & (np.abs(sin_phi) <= 1.0)
+    ok = feasible[:-1] | feasible[1:]
+    # clamping continues the scan function smoothly onto the feasibility
+    # boundary |sin phi0| = 1, where saddle-node root pairs sit; crossings
+    # found on half-feasible segments are validated by the Newton polish
+    sin_phi_cl = np.clip(np.nan_to_num(sin_phi, nan=2.0), -1.0, 1.0)
+    cos_phi_mag = np.sqrt(1.0 - sin_phi_cl**2)
+
+    def branch_at(om, sign):
+        """Scalar (sin phi0, G) on one branch, sin phi0 clamped as on the grid."""
+        sp = detuning / (2.0 * s * math.cos(om * tau))
+        if not math.isfinite(sp):
+            sp = 2.0
+        sp = min(1.0, max(-1.0, sp))
+        cp = sign * math.sqrt(max(0.0, 1.0 - sp * sp))
+        return sp, omega_bar + d * math.sin(om * tau) + s * math.sin(om * tau) * cp - om
+
+    roots = []
+    for sign in (+1.0, -1.0):  # cos(phi0) > 0 branch, then the pi-complement
+        g = omega_bar + d * sin_ot + sign * s * sin_ot * cos_phi_mag - grid
+        flip = ok & (np.sign(g[:-1]) != np.sign(g[1:]))
+        for idx in np.nonzero(flip)[0]:
+            # the grid's own values of G open the search on the cell
+            om = find_root(lambda om: branch_at(om, sign)[1],
+                           grid[idx], grid[idx + 1], g[idx], g[idx + 1])[0]
+            asin_sp = math.asin(branch_at(om, sign)[0])
+            phi = asin_sp if sign > 0 else _wrap(math.pi - asin_sp)
+            polished = _newton_polish(problem, d, s, om, phi, scale)
+            if polished is None:
+                continue
+            om, phi = polished
+            if om <= 0.0 or om > omega_max * (1.0 + 1e-9):
+                continue
+            # phases compare wrapped: pi and -pi + 1e-16 are one antiphase state
+            if any(abs(om - o) <= 1e-7 * (1.0 + abs(o)) and abs(_wrap(phi - p)) <= 1e-6
+                   for o, p in roots):
+                continue
+            roots.append((om, phi))
+            yield _make_state(problem, d, s, om, phi)

@@ -175,11 +175,13 @@ def test_cli_exit_codes(tmp_path):
 
 
 def test_cli_analyze_writes_report(tmp_path):
+    """``analyze`` writes its report and prints exactly the same bytes."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(analyze_config()))
     proc = run_cli(["analyze", "--config", str(path), "--out", str(tmp_path)])
     assert proc.returncode == 0
-    report = json.loads((tmp_path / "report.json").read_text())
+    assert proc.stdout.encode() == (tmp_path / "report.json").read_bytes()
+    report = json.loads(proc.stdout)
     assert report["sync"]["roots"]
 
 
@@ -270,10 +272,7 @@ def test_cli_main_reuses_its_parser_without_changing_output(tmp_path, monkeypatc
         for argv, want in zip(calls, fresh):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse after printing --help
-                    code = exc.code
+                code = main(argv)
             assert (code, out.getvalue(), err.getvalue()) == (
                 want.returncode, want.stdout, want.stderr), argv
 

@@ -22,6 +22,8 @@ from tcpsync.sync_solver import (
     POLISH_RTOL,
     SyncProblem,
     _lock_verdict,
+    _omega_max,
+    _scan_grid,
     _wrap,
     coupling_range,
     critical_coupling,
@@ -37,6 +39,7 @@ from oracles import (
     reference_solve_sync,
     reference_stability_factor,
     reference_state_on_curve,
+    whole_grid_scan_roots,
 )
 
 
@@ -519,6 +522,45 @@ def test_lazy_verdict_matches_full_solve(problem):
         states = solve_sync(p)
         assert_same_roots(states, converged(p, reference_solve_sync(p)))
         assert _lock_verdict(p) == (bool(states), any(st.stable for st in states))
+
+
+def assert_whole_grid_scan(problem):
+    """``solve_sync`` lists the whole-grid scan's states bit for bit, and the
+    verdict that stops early says what that scan's full list says."""
+    ref = list(whole_grid_scan_roots(problem))
+    assert solve_sync(problem) == sorted(ref, key=lambda st: (st.Omega, st.phi0))
+    assert _lock_verdict(problem) == (bool(ref), any(st.stable for st in ref))
+
+
+@settings(max_examples=30)
+@given(problem=analyze_problems())
+def test_two_piece_scan_matches_whole_grid_scan(problem):
+    """Over the analyze box and every K of the analyze sweep, the scan split
+    at 2 mean(omega) gives the states and verdicts of the whole-grid scan."""
+    for k in np.linspace(0.0, 40.0, 80):
+        assert_whole_grid_scan(replace(problem, K=float(k)))
+
+
+#: a root in the cell that ends at the cut point 2 mean(omega) = 100.2: tau
+#: puts sin(Omega tau) = 1 at Omega = 100.4, and K is the locked-state curve
+#: at Omega = 100.19
+ROOT_AT_CUT = SyncProblem(50.0, 50.2, 25.41824928985265, 0.07822690870492512, INTERMEDIATE)
+
+
+def test_two_piece_scan_root_in_the_cell_ending_at_the_cut():
+    grid = _scan_grid(_omega_max(ROOT_AT_CUT), ROOT_AT_CUT.tau)[0]
+    cut = int(np.searchsorted(grid, ROOT_AT_CUT.omega1 + ROOT_AT_CUT.omega2))
+    assert 0 < cut < len(grid) - 1
+    assert any(grid[cut - 1] < st.Omega <= grid[cut] for st in solve_sync(ROOT_AT_CUT))
+    assert_whole_grid_scan(ROOT_AT_CUT)
+
+
+@pytest.mark.parametrize("omega_max", [80.0, 101.0], ids=["below", "at"])
+def test_two_piece_scan_single_piece(omega_max):
+    """With omega_max at or below 2 mean(omega) the grid is one piece."""
+    problem = replace(inter_problem(omega1=50.0, omega2=51.0, K=30.0), omega_max=omega_max)
+    assert solve_sync(problem)
+    assert_whole_grid_scan(problem)
 
 
 #: perfbench seed 1004 ``analyze`` job 28 (Reno, intermediate): a detuning of
