@@ -26,8 +26,11 @@ Modelling choices:
 * service is FIFO with fixed service time 1/capacity, so by Lindley's
   recursion a packet arriving at a departs at d = max(a, d_prev) + 1/capacity;
   Drop-Tail drops arrivals when occupancy equals the buffer;
-* equal times: a packet departing at t is still held at t, both for a
-  sample (samples are scheduled first) and for an arrival at t;
+* the event heap holds the packets in flight (one entry each, for its next
+  stage), the flows not yet started and one pending sample per series;
+* equal times pop samples first, then the rest in push order: a packet
+  departing at t is still held at t, both for a sample and for an arrival
+  at t;
 * burstiness is controlled by the per-flow access-link speed: faster access
   links release back-to-back packets into the edge queue.
 
@@ -39,7 +42,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from itertools import count
 
 import numpy as np
@@ -74,6 +77,8 @@ class Topology:
     core_buffer: float
 
     def __post_init__(self):
+        if len(self.edge_capacity) != 2 or len(self.edge_buffer) != 2:
+            raise ValueError("edge capacities and buffers need one entry per edge, two each")
         if min(self.edge_capacity) <= 0 or self.core_capacity <= 0:
             raise ValueError("capacities must be positive")
         if min(self.edge_buffer) < 1 or self.core_buffer < 1:
@@ -105,6 +110,8 @@ class FlowGroup:
             raise ValueError("group needs at least one flow")
         if self.rtt <= 0 or self.access_rate <= 0:
             raise ValueError("rtt and access rate must be positive")
+        if self.edge not in (None, 0, 1):
+            raise ValueError(f"edge must be None (cross traffic), 0 or 1, got {self.edge!r}")
 
 
 class _Flow:
@@ -113,7 +120,7 @@ class _Flow:
         "cwnd", "dwnd", "base_rtt", "last_rtt", "next_seq", "in_flight",
         "sent", "delivered", "dropped", "detected", "dropped_pending",
         "recovery_until", "acks_in_round", "round_size", "access_free",
-        "start_time",
+        "access_step", "start_time",
     )
 
     def __init__(self, spec, edge, prop, access_rate, set_id, start_time):
@@ -143,6 +150,7 @@ class _Flow:
         self.acks_in_round = 0
         self.round_size = 2
         self.access_free = start_time
+        self.access_step = 1.0 / access_rate
         self.start_time = start_time
 
     @property
@@ -203,13 +211,15 @@ def _detect_losses(flow, acked_seq):
 
 
 class _Router:
-    """Drop-Tail FIFO router holding the departure times of its packets, oldest first."""
+    """Drop-Tail FIFO router holding the departure times of its packets, oldest
+    first; ``run_scenario`` admits arrivals itself."""
 
-    __slots__ = ("name", "rate", "buffer", "departures", "admitted", "drops")
+    __slots__ = ("name", "rate", "service", "buffer", "departures", "admitted", "drops")
 
     def __init__(self, name, rate, buffer):
         self.name = name
         self.rate = rate
+        self.service = 1.0 / rate
         self.buffer = buffer
         self.departures = deque()
         self.admitted = 0
@@ -221,17 +231,6 @@ class _Router:
         while deps and deps[0] < t:
             deps.popleft()
         return len(deps)
-
-    def admit(self, t):
-        """Departure time of a packet arriving at ``t``, or None if dropped."""
-        if self.occupancy(t) >= self.buffer:
-            self.drops += 1
-            return None
-        deps = self.departures
-        d = (deps[-1] if deps else t) + 1.0 / self.rate
-        deps.append(d)
-        self.admitted += 1
-        return d
 
 
 @dataclass
@@ -252,6 +251,12 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
     sampled once per its configured ``rtt``, though a group whose ``rtt`` is
     below its one-packet serialisation chain runs at the chain's length (see
     ``FlowGroup``).  Deterministic given the seed.
+
+    The heap holds in-flight packet events, unstarted flows and one pending
+    sample per series; each event leaves it by one heap operation.  A sample
+    keeps the key it would have if every sample were pushed at the start, so
+    the tie rule holds: at equal times samples pop first, the rest in push
+    order.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -279,25 +284,6 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
                 _Flow(grp.protocol, grp.edge, prop, grp.access_rate, set_id, start)
             )
 
-    heap = []
-    tick = count()  # tie-breaker: equal times pop in push order
-    in_network = 0
-
-    def maybe_send(flow, now):
-        """Release what the window allows onto the access link; return how many."""
-        n = max(int(flow.window) - flow.in_flight, 0)
-        kind = "core" if flow.edge is None else "edge"
-        step = 1.0 / flow.access_rate
-        free = flow.access_free
-        for seq in range(flow.next_seq, flow.next_seq + n):
-            free = (now if now > free else free) + step
-            heappush(heap, (free, next(tick), kind, (flow, seq, now)))
-        flow.access_free = free
-        flow.next_seq += n
-        flow.in_flight += n
-        flow.sent += n
-        return n
-
     # sampling machinery
     try:
         n_qsamples = int(duration / sample_dt) + 1
@@ -312,33 +298,54 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
         "t": [], "sent": [], "delivered": [], "dropped": [], "in_network": [],
         "base_rtt": [],
     }
-    for k in range(n_qsamples):
-        heappush(heap, (k * sample_dt, next(tick), "qsample", k))
 
+    # Heap entries are (t, tick, kind, payload) with unique ticks, so equal
+    # times pop in tick order.  Sample k of a series is due at k * dt with
+    # tick = its index among all samples (queue samples, then each set's
+    # window samples); starts and packets count on from there.
+    heap = []
+    if n_qsamples > 0:
+        heappush(heap, (0 * sample_dt, 0, "qsample", 0))
+    wsets = {}  # set -> (sample spacing, tick of sample 0, samples, member flows)
+    tick0 = n_qsamples
     for set_id, rtt in set_rtts.items():
-        for k in range(len(wseries[set_id])):
-            heappush(heap, (k * rtt, next(tick), "wsample", (set_id, k)))
-
+        n = len(wseries[set_id])
+        wsets[set_id] = (rtt, tick0, n, [f for f in flows if f.set_id == set_id])
+        heappush(heap, (0 * rtt, tick0, "wsample", (set_id, 0)))
+        tick0 += n
+    next_tick = count(tick0).__next__
     for flow in flows:
-        heappush(heap, (flow.start_time, next(tick), "start", flow))
+        heappush(heap, (flow.start_time, next_tick(), "start", flow))
 
+    # an event is read at the root; its successor (next stage, first released
+    # packet, next sample) replaces it, or it is popped
+    in_network = 0
     while heap:
-        t, _, kind, payload = heappop(heap)
+        t, _, kind, payload = heap[0]
         if t > duration:
             break
         if kind == "edge" or kind == "core":
-            flow, seq, _ = payload
+            flow = payload[0]
             router = edges[flow.edge] if kind == "edge" else core
-            d = router.admit(t)
-            if d is None:
+            deps = router.departures
+            while deps and deps[0] < t:
+                deps.popleft()
+            if len(deps) >= router.buffer:  # Drop-Tail
+                router.drops += 1
                 flow.dropped += 1
-                flow.dropped_pending.append([seq, 0])
+                flow.dropped_pending.append([payload[1], 0])
                 in_network -= 1
-            elif kind == "edge":
-                heappush(heap, (d, next(tick), "core", payload))
+                heappop(heap)
+                continue
+            d = (deps[-1] if deps else t) + router.service
+            deps.append(d)
+            router.admitted += 1
+            if kind == "edge":
+                heapreplace(heap, (d, next_tick(), "core", payload))
             else:
-                heappush(heap, (d + flow.prop, next(tick), "ack", payload))
-        elif kind == "ack":
+                heapreplace(heap, (d + flow.prop, next_tick(), "ack", payload))
+            continue
+        if kind == "ack":
             flow, seq, sent_t = payload
             in_network -= 1
             flow.delivered += 1
@@ -350,9 +357,8 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
             if flow.dropped_pending:
                 _detect_losses(flow, seq)
             _on_ack(flow)
-            in_network += maybe_send(flow, t)
         elif kind == "start":
-            in_network += maybe_send(payload, t)
+            flow = payload
         elif kind == "qsample":
             for r in routers:
                 qseries[r.name][payload] = r.occupancy(t)
@@ -362,10 +368,43 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
             conservation["dropped"].append(sum(f.dropped for f in flows))
             conservation["in_network"].append(in_network)
             conservation["base_rtt"].append([f.base_rtt for f in flows])
-        elif kind == "wsample":
+            k = payload + 1
+            if k < n_qsamples:
+                heapreplace(heap, (k * sample_dt, k, "qsample", k))
+            else:
+                heappop(heap)
+            continue
+        else:  # "wsample"
             set_id, k = payload
-            members = [f.window for f in flows if f.set_id == set_id]
-            wseries[set_id][k] = sum(members) / len(members)
+            dt, tick0, n, members = wsets[set_id]
+            wseries[set_id][k] = sum([f.cwnd + f.dwnd for f in members]) / len(members)
+            k += 1
+            if k < n:
+                heapreplace(heap, (k * dt, tick0 + k, "wsample", (set_id, k)))
+            else:
+                heappop(heap)
+            continue
+
+        # an ack or a start: release what the window allows onto the access
+        # link, back to back
+        n = int(flow.cwnd + flow.dwnd) - flow.in_flight
+        if n <= 0:
+            heappop(heap)
+            continue
+        kind = "core" if flow.edge is None else "edge"
+        step = flow.access_step
+        seq = flow.next_seq
+        free = flow.access_free
+        free = (t if t > free else free) + step
+        heapreplace(heap, (free, next_tick(), kind, (flow, seq, t)))
+        for seq in range(seq + 1, seq + n):
+            free += step
+            heappush(heap, (free, next_tick(), kind, (flow, seq, t)))
+        flow.access_free = free
+        flow.next_seq += n
+        flow.in_flight += n
+        flow.sent += n
+        in_network += n
 
     meta = {
         "duration": duration,

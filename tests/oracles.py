@@ -18,8 +18,10 @@ simulators as each wired its own run before ``dde_sim`` gave them one run
 path and one fluid right-hand side, and the critical coupling as the minimum
 of the locked-state curve over a dense grid, refined by scipy, and the sync
 scan as it evaluated its whole frequency grid at once, which the two-piece
-scan is held bit-identical to.  Tests compare package results against
-these.
+scan is held bit-identical to, and the packet event loop as it pushed every
+sample at the start, popped each event before pushing its successor and
+admitted packets in ``_Router.admit``, which the leaner loop is held
+bit-identical to.  Tests compare package results against these.
 """
 
 import cmath
@@ -28,6 +30,8 @@ import json
 import math
 from collections import deque
 from dataclasses import asdict, replace
+from heapq import heappop, heappush
+from itertools import count
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from tcpsync.equilibrium import EquilibriumState, find_root, solve_coupled, solv
 from tcpsync.errors import NoRootError, SimulationError
 from tcpsync.linear_analysis import delay_coefficients
 from tcpsync.loss_models import core_loss_fn, edge_loss_fn, loss_at
-from tcpsync.packet_sim import DUPACK_DETECT, ScenarioResult, _Flow
+from tcpsync.packet_sim import DUPACK_DETECT, ScenarioResult, _Flow, _detect_losses, _on_ack
 from tcpsync.protocols import ILLINOIS, RENO, window_laws
 from tcpsync.sync_solver import (
     POLISH_RTOL,
@@ -674,6 +678,199 @@ def reference_run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
         "in_network": in_network,
         "detected_losses": sum(f.detected for f in flows),
         "served": {r.name: r.served for r in routers},
+        "min_base_rtt": min((f.base_rtt for f in flows), default=math.nan),
+    }
+    conservation = {k: np.asarray(v) for k, v in conservation.items()}
+    return ScenarioResult(queue_traces, window_traces, utilization, drops,
+                          counters, conservation, meta)
+
+
+class _HeapRouter:
+    """Drop-Tail FIFO router holding the departure times of its packets, oldest first."""
+
+    __slots__ = ("name", "rate", "buffer", "departures", "admitted", "drops")
+
+    def __init__(self, name, rate, buffer):
+        self.name = name
+        self.rate = rate
+        self.buffer = buffer
+        self.departures = deque()
+        self.admitted = 0
+        self.drops = 0
+
+    def occupancy(self, t):
+        """Packets held at ``t``, one departing at ``t`` included."""
+        deps = self.departures
+        while deps and deps[0] < t:
+            deps.popleft()
+        return len(deps)
+
+    def admit(self, t):
+        """Departure time of a packet arriving at ``t``, or None if dropped."""
+        if self.occupancy(t) >= self.buffer:
+            self.drops += 1
+            return None
+        deps = self.departures
+        d = (deps[-1] if deps else t) + 1.0 / self.rate
+        deps.append(d)
+        self.admitted += 1
+        return d
+
+
+def heap_run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
+    """``packet_sim.run_scenario`` as it pushed every sample at the start and
+    popped each event before pushing its successor, with Drop-Tail admission
+    in ``_HeapRouter.admit``: the oracle the leaner loop is held to, every
+    result field exactly.  What follows is its docstring.
+
+    Run the event loop and return sampled traces plus counters.
+
+    Queue occupancy is sampled every ``sample_dt``; each set's mean window is
+    sampled once per its configured ``rtt``, though a group whose ``rtt`` is
+    below its one-packet serialisation chain runs at the chain's length (see
+    ``FlowGroup``).  Deterministic given the seed.
+    """
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    rng = np.random.default_rng(seed)
+
+    edges = [
+        _HeapRouter("edge1", topology.edge_capacity[0], topology.edge_buffer[0]),
+        _HeapRouter("edge2", topology.edge_capacity[1], topology.edge_buffer[1]),
+    ]
+    core = _HeapRouter("core", topology.core_capacity, topology.core_buffer)
+    routers = edges + [core]
+
+    flows = []
+    set_rtts = {}
+    for gi, grp in enumerate(groups):
+        set_id = grp.edge if grp.edge is not None else f"cross{gi}"
+        serial = 1.0 / grp.access_rate + 1.0 / topology.core_capacity
+        if grp.edge is not None:
+            serial += 1.0 / topology.edge_capacity[grp.edge]
+            set_rtts.setdefault(grp.edge, grp.rtt)
+        prop = max(grp.rtt - serial, 1e-6)
+        for _ in range(grp.count):
+            start = float(rng.uniform(0.0, grp.rtt))
+            flows.append(
+                _Flow(grp.protocol, grp.edge, prop, grp.access_rate, set_id, start)
+            )
+
+    heap = []
+    tick = count()  # tie-breaker: equal times pop in push order
+    in_network = 0
+
+    def maybe_send(flow, now):
+        """Release what the window allows onto the access link; return how many."""
+        n = max(int(flow.window) - flow.in_flight, 0)
+        kind = "core" if flow.edge is None else "edge"
+        step = 1.0 / flow.access_rate
+        free = flow.access_free
+        for seq in range(flow.next_seq, flow.next_seq + n):
+            free = (now if now > free else free) + step
+            heappush(heap, (free, next(tick), kind, (flow, seq, now)))
+        flow.access_free = free
+        flow.next_seq += n
+        flow.in_flight += n
+        flow.sent += n
+        return n
+
+    # sampling machinery
+    try:
+        n_qsamples = int(duration / sample_dt) + 1
+        qseries = {r.name: np.zeros(n_qsamples) for r in routers}
+        wseries = {set_id: np.zeros(int(duration / rtt) + 1) for set_id, rtt in set_rtts.items()}
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise SimulationError(
+            f"a run of {duration:g} s sampled every {sample_dt:g} s "
+            f"needs more samples than can be stored ({exc})"
+        ) from None
+    conservation = {
+        "t": [], "sent": [], "delivered": [], "dropped": [], "in_network": [],
+        "base_rtt": [],
+    }
+    for k in range(n_qsamples):
+        heappush(heap, (k * sample_dt, next(tick), "qsample", k))
+
+    for set_id, rtt in set_rtts.items():
+        for k in range(len(wseries[set_id])):
+            heappush(heap, (k * rtt, next(tick), "wsample", (set_id, k)))
+
+    for flow in flows:
+        heappush(heap, (flow.start_time, next(tick), "start", flow))
+
+    while heap:
+        t, _, kind, payload = heappop(heap)
+        if t > duration:
+            break
+        if kind == "edge" or kind == "core":
+            flow, seq, _ = payload
+            router = edges[flow.edge] if kind == "edge" else core
+            d = router.admit(t)
+            if d is None:
+                flow.dropped += 1
+                flow.dropped_pending.append([seq, 0])
+                in_network -= 1
+            elif kind == "edge":
+                heappush(heap, (d, next(tick), "core", payload))
+            else:
+                heappush(heap, (d + flow.prop, next(tick), "ack", payload))
+        elif kind == "ack":
+            flow, seq, sent_t = payload
+            in_network -= 1
+            flow.delivered += 1
+            flow.in_flight -= 1
+            rtt = t - sent_t
+            flow.last_rtt = rtt
+            if rtt < flow.base_rtt:
+                flow.base_rtt = rtt
+            if flow.dropped_pending:
+                _detect_losses(flow, seq)
+            _on_ack(flow)
+            in_network += maybe_send(flow, t)
+        elif kind == "start":
+            in_network += maybe_send(payload, t)
+        elif kind == "qsample":
+            for r in routers:
+                qseries[r.name][payload] = r.occupancy(t)
+            conservation["t"].append(t)
+            conservation["sent"].append(sum(f.sent for f in flows))
+            conservation["delivered"].append(sum(f.delivered for f in flows))
+            conservation["dropped"].append(sum(f.dropped for f in flows))
+            conservation["in_network"].append(in_network)
+            conservation["base_rtt"].append([f.base_rtt for f in flows])
+        elif kind == "wsample":
+            set_id, k = payload
+            members = [f.window for f in flows if f.set_id == set_id]
+            wseries[set_id][k] = sum(members) / len(members)
+
+    meta = {
+        "duration": duration,
+        "seed": seed,
+        "sample_dt": sample_dt,
+        "n_flows": len(flows),
+    }
+    queue_traces = {
+        name: Trace(0.0, sample_dt, {"occupancy": arr}, {**meta, "router": name})
+        for name, arr in qseries.items()
+    }
+    window_traces = {
+        f"set{set_id + 1}": Trace(
+            0.0, set_rtts[set_id], {"w_mean": arr}, {**meta, "set": set_id + 1}
+        )
+        for set_id, arr in wseries.items()
+    }
+    # served: departures at or before the end of the run
+    served = {r.name: r.admitted - sum(d > duration for d in r.departures) for r in routers}
+    utilization = {r.name: served[r.name] / (r.rate * duration) for r in routers}
+    drops = {r.name: r.drops for r in routers}
+    counters = {
+        "sent": sum(f.sent for f in flows),
+        "delivered": sum(f.delivered for f in flows),
+        "dropped": sum(f.dropped for f in flows),
+        "in_network": in_network,
+        "detected_losses": sum(f.detected for f in flows),
+        "served": served,
         "min_base_rtt": min((f.base_rtt for f in flows), default=math.nan),
     }
     conservation = {k: np.asarray(v) for k, v in conservation.items()}

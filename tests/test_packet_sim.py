@@ -21,8 +21,10 @@ from tcpsync.protocols import COMPOUND, ProtocolSpec, window_laws
 from tcpsync.signals import autocorr_period, bandpass, local_maxima
 from tcpsync.trace import Trace
 
+import oracles
 from oracles import (
     aimd_sawtooth_period,
+    heap_run_scenario,
     reference_on_ack,
     reference_on_loss,
     reference_run_scenario,
@@ -307,6 +309,22 @@ def test_core_bottleneck_warning():
         )
 
 
+@pytest.mark.parametrize("edge", [-1, 2])
+def test_flow_group_rejects_an_edge_that_does_not_exist(edge):
+    with pytest.raises(ValueError, match="edge must be None"):
+        FlowGroup(count=1, protocol=ProtocolSpec.reno(), rtt=0.1, edge=edge)
+
+
+@pytest.mark.parametrize("field", ["edge_capacity", "edge_buffer"])
+@pytest.mark.parametrize("entries", [1, 3])
+def test_topology_needs_one_entry_per_edge(field, entries):
+    kwargs = {"edge_capacity": (800.0, 800.0), "core_capacity": 1000.0,
+              "edge_buffer": (10, 10), "core_buffer": 20}
+    kwargs[field] = (kwargs[field][0],) * entries
+    with pytest.raises(ValueError, match="one entry per edge"):
+        Topology(**kwargs)
+
+
 # ------------------------------------------------ Lindley routers vs reference
 
 rates = st.floats(40.0, 1500.0)  # packets/s
@@ -341,11 +359,23 @@ def scenarios(draw):
 
 class RecordedRouter(packet_sim._Router):
     """A router that remembers every instance, to read ``admitted`` after a
-    run, and counts the arrivals whose outcome hangs on how equal times are
-    ordered: one that meets a departure at its own time while the buffer,
-    that packet included, is full, or one at the same time as the previous
-    arrival.  The reference orders equal times by push order, so such a run
-    may differ from it by design."""
+    run."""
+
+    __slots__ = ()
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made.append(self)
+
+
+class TieCountingRouter(oracles._HeapRouter):
+    """A router of ``heap_run_scenario``, which admits in ``admit`` and runs
+    exactly as ``run_scenario`` does, that counts the arrivals whose outcome
+    hangs on how equal times are ordered: one that meets a departure at its
+    own time while the buffer, that packet included, is full, or one at the
+    same time as the previous arrival.  The reference orders equal times by
+    push order, so such a run may differ from it by design."""
 
     __slots__ = ("ties", "last_arrival")
     made = []
@@ -371,10 +401,13 @@ def test_lindley_routers_match_reference_and_conserve_packets(scenario):
     RecordedRouter.made.clear()
     with mock.patch.object(packet_sim, "_Router", RecordedRouter):
         res = run_scenario(topo, groups, duration, seed=seed, sample_dt=sample_dt)
+    TieCountingRouter.made.clear()
+    with mock.patch.object(oracles, "_HeapRouter", TieCountingRouter):
+        heap_run_scenario(topo, groups, duration, seed=seed, sample_dt=sample_dt)
 
     # without an order-dependent tie: the reference's traces, drops, counters
     # and conservation, exactly (the tie rule has its own test below)
-    if not any(r.ties for r in RecordedRouter.made):
+    if not any(r.ties for r in TieCountingRouter.made):
         ref = reference_run_scenario(topo, groups, duration, seed=seed, sample_dt=sample_dt)
         assert res.queue_traces.keys() == ref.queue_traces.keys()
         for name, tr in ref.queue_traces.items():
@@ -409,6 +442,88 @@ def test_lindley_routers_match_reference_and_conserve_packets(scenario):
     assert all(0.0 <= u <= 1.0 for u in res.utilization.values())
 
 
+def assert_same_result(res, ref):
+    """Every field of two ``ScenarioResult``s equal, bit for bit: float repr
+    round-trips, and arrays compare by dtype, shape and bytes."""
+
+    def same_arrays(a, b):
+        assert list(a) == list(b)
+        for key in a:
+            assert (a[key].dtype, a[key].shape) == (b[key].dtype, b[key].shape), key
+            assert a[key].tobytes() == b[key].tobytes(), key
+
+    for traces, ref_traces in ((res.queue_traces, ref.queue_traces),
+                               (res.window_traces, ref.window_traces)):
+        assert list(traces) == list(ref_traces)
+        for name, tr in ref_traces.items():
+            assert repr((traces[name].t0, traces[name].dt, traces[name].meta)) == repr(
+                (tr.t0, tr.dt, tr.meta))
+            same_arrays(traces[name].data, tr.data)
+    for key in ("utilization", "drops", "counters", "meta"):
+        assert repr(getattr(res, key)) == repr(getattr(ref, key)), key
+    same_arrays(res.conservation, ref.conservation)
+
+
+def run_both(topo, groups, duration, seed, sample_dt):
+    """``run_scenario``'s result, once it is found equal, bit for bit, to
+    that of ``heap_run_scenario``."""
+    res = run_scenario(topo, groups, duration, seed=seed, sample_dt=sample_dt)
+    assert_same_result(res, heap_run_scenario(topo, groups, duration, seed=seed,
+                                              sample_dt=sample_dt))
+    return res
+
+
+@settings(max_examples=150)
+@given(scenarios())
+def test_run_scenario_matches_the_heap_loop_exactly(scenario):
+    """Pending samples one per series, one heap operation per forwarded stage
+    and inline admission change no bit of any result field, ties included."""
+    run_both(*scenario)
+
+
+def edge_case_topology():
+    return Topology(edge_capacity=(800.0, 600.0), core_capacity=1000.0,
+                    edge_buffer=(6, 4), core_buffer=8)
+
+
+def test_cross_traffic_only_has_no_window_series():
+    groups = [
+        FlowGroup(count=3, protocol=ProtocolSpec.reno(), rtt=0.04, edge=None,
+                  access_rate=900.0),
+        FlowGroup(count=2, protocol=ProtocolSpec.compound(), rtt=0.07, edge=None,
+                  access_rate=300.0),
+    ]
+    res = run_both(edge_case_topology(), groups, 3.0, 11, 0.01)
+    assert res.window_traces == {}
+    assert res.drops["core"] > 0 and res.counters["served"]["edge1"] == 0
+
+
+def test_set_rtt_longer_than_the_run_samples_its_window_once():
+    groups = [
+        FlowGroup(count=2, protocol=ProtocolSpec.illinois(), rtt=0.5, edge=0,
+                  access_rate=400.0),
+        FlowGroup(count=2, protocol=ProtocolSpec.reno(), rtt=0.02, edge=1,
+                  access_rate=700.0),
+    ]
+    res = run_both(edge_case_topology(), groups, 0.3, 2, 0.01)
+    assert res.window_traces["set1"].channel("w_mean").tolist() == [2.0]
+    assert len(res.window_traces["set2"]) == 16
+
+
+def test_sample_dt_longer_than_the_run_samples_the_queues_once():
+    groups = [
+        FlowGroup(count=4, protocol=ProtocolSpec.reno(), rtt=0.03, edge=0,
+                  access_rate=2000.0),
+        FlowGroup(count=1, protocol=ProtocolSpec.reno(), rtt=0.05, edge=None,
+                  access_rate=500.0),
+    ]
+    res = run_both(edge_case_topology(), groups, 1.0, 4, 2.5)
+    for tr in res.queue_traces.values():
+        assert tr.channel("occupancy").tolist() == [0.0]
+    assert res.conservation["t"].tolist() == [0.0]
+    assert res.counters["sent"] > 0
+
+
 def test_tie_rule_departing_packet_still_held():
     """Access link and edge at the same rate: the second packet of the first
     window reaches the one-packet edge buffer exactly when the first departs,
@@ -427,6 +542,14 @@ def test_tie_rule_departing_packet_still_held():
     # the loop with service events popped this tie in the same order
     ref = reference_run_scenario(topo, groups, d0, seed=seed, sample_dt=d0)
     assert (ref.drops, ref.counters) == (res.drops, res.counters)
+    # the sample at d0 = 8 (d0 / 8) is pushed after the start has released
+    # both packets, and still pops before the arrival it ties with
+    assert start < 7 * (d0 / 8)
+    res = run_both(topo, groups, d0, seed, d0 / 8)
+    assert res.conservation["t"][-1] == d0
+    assert res.conservation["dropped"].tolist() == [0] * 9
+    assert res.queue_traces["edge1"].channel("occupancy")[-1] == 1.0
+    assert res.drops["edge1"] == 1
 
 
 def queue_trace(occupancy, dt=0.02):
