@@ -13,11 +13,16 @@ samples already stored, so each variable's interpolated lag series for the
 block is computed in one numpy expression before the block is stepped.  The
 expression rounds exactly as a per-step read would, so block size never
 changes a trace.  Every model here couples its variables only through
-delayed values, so a model is given in split form: ``terms`` turns a block's
-lags into one row per sample and variable (all the lag-only work, such as
-the fluid loss laws, done once per sample), and variable i's derivative
-``rhs[i](y_i, row)`` reads only its own current value.  Each variable is then
-stepped through the block on its own, in one scalar Heun loop.
+delayed values, and each model supplies the Heun loop that steps a block
+from its lags.  The fluid and linearised models are given in split form and
+share ``heun_block``: ``terms`` turns a block's lags into one row per sample
+and variable (all the lag-only work, such as the fluid loss laws, done once
+per sample), variable i's derivative ``rhs[i](y_i, row)`` reads only its own
+current value, and each variable is stepped through the block on its own.
+The phase models' derivative is written once, in ``_phase_block``, which
+steps both oscillators straight from the two lag lists with no floor.
+``integrate_dde`` keeps everything else: validation, the sample store, the
+history, the lag interpolation and the floor-abort rule.
 
 Systems covered, all with one delayed read per variable (variable i is read
 back at t - tau_i):
@@ -100,17 +105,20 @@ def _kick_tuple(kick, n_var):
     return vals
 
 
-def integrate_dde(rhs, terms, delays, history, horizon, dt, floor=None):
-    """Heun integration of y_i' = rhs[i](y_i, row_i), the rows built from the
-    delayed values ylag_j = y_j(t - tau_j).
+def integrate_dde(block, delays, history, horizon, dt, floor=None):
+    """Heun integration by the method of steps of a model whose variables
+    couple only through the delayed values ylag_j = y_j(t - tau_j).
 
-    Structural requirement: variable i's derivative reads only its own current
-    value y_i and its row; the variables couple only through delayed values.
-    The model is autonomous: per block of m steps from step n0,
-    ``terms(lags)`` receives one array of m + 1 interpolated lags per
-    variable, at t = (n0 .. n0 + m) * dt, and returns one list of m + 1 rows
-    per variable; row k serves the stage at step n0 + k.  ``history`` is a
-    callable t -> tuple for t <= 0.
+    The model is autonomous and supplies its Heun loop over a block as
+    ``block(ys, lags, dt, bound) -> (outs, hits)``.  Per block of m steps from
+    step n0, ``lags`` holds one array of m + 1 interpolated lags per variable,
+    at t = (n0 .. n0 + m) * dt, and ``ys`` the current values, which the block
+    advances in place; ``outs`` holds each variable's new samples, and
+    ``hits`` one (k, stage, i) per variable i that stopped because its
+    predictor (stage 0) or corrected value (stage 1) of step n0 + k was at or
+    below ``bound`` (NaN without a floor).  ``heun_block`` builds the block
+    of a split-form model; the phase models write their own.
+    ``history`` is a callable t -> tuple for t <= 0.
     Requires 0 < dt <= min(tau).  Returns an array of shape (n_var, n_steps + 1)
     sampled on t = 0 .. horizon.  With a ``floor``, a variable at or below it at
     t = 0, in a predictor or after a step aborts the run at the earliest such
@@ -147,10 +155,9 @@ def integrate_dde(rhs, terms, delays, history, horizon, dt, floor=None):
     for i, y in enumerate(ys):
         if y <= bound:
             raise SimulationError(f"variable {i} starts at or below the positivity floor at t=0")
-    half = 0.5 * dt
-    block = min(joffs)
-    for n0 in range(0, n_steps, block):
-        m = min(block, n_steps - n0)
+    block_len = min(joffs)
+    for n0 in range(0, n_steps, block_len):
+        m = min(block_len, n_steps - n0)
         # lags at t = (n0 .. n0 + m) * dt read only samples stored before n0
         lags = []
         for i in range(n_var):
@@ -159,7 +166,29 @@ def integrate_dde(rhs, terms, delays, history, horizon, dt, floor=None):
             if fracs[i] != 0.0:
                 lag = lag * (1.0 - fracs[i]) + store[i, lo - 1 : lo + m] * fracs[i]
             lags.append(lag)
-        hits = []
+        outs, hits = block(ys, lags, dt, bound)
+        for i, out in enumerate(outs):
+            store[i, n_hist + n0 + 1 : n_hist + n0 + 1 + len(out)] = out
+        if hits:
+            k, _, i = min(hits)
+            raise SimulationError(
+                f"variable {i} hit the positivity floor at t={(n0 + k) * dt + dt:.6g}; "
+                f"the step dt={dt:g} is too large for this trajectory"
+            )
+    return np.ascontiguousarray(store[:, n_hist:])
+
+
+def heun_block(rhs, terms):
+    """The Heun block loop of a model in split form: y_i' = rhs[i](y_i, row),
+    where ``terms(lags)`` turns a block's lags into one list of m + 1 rows per
+    variable (row k serves the stage at step n0 + k), so variable i's
+    derivative reads only its own current value and its row.  Each variable
+    is stepped through the block on its own and stops at its first stage at
+    or below the bound."""
+
+    def block(ys, lags, dt, bound):
+        half = 0.5 * dt
+        outs, hits = [], []
         for i, (f, rows) in enumerate(zip(rhs, terms(lags))):
             y, out = ys[i], []
             rows = iter(rows)
@@ -168,33 +197,29 @@ def integrate_dde(rhs, terms, delays, history, horizon, dt, floor=None):
                 k1 = f(y, a)
                 pred = y + dt * k1
                 if pred <= bound:
-                    hits.append((n0 + len(out), 0, i))
+                    hits.append((len(out), 0, i))
                     break
                 y = y + half * (k1 + f(pred, b))
                 if y <= bound:
-                    hits.append((n0 + len(out), 1, i))
+                    hits.append((len(out), 1, i))
                     break
                 out.append(y)
                 a = b
             ys[i] = y
-            store[i, n_hist + n0 + 1 : n_hist + n0 + 1 + len(out)] = out
-        if hits:
-            n, _, i = min(hits)
-            raise SimulationError(
-                f"variable {i} hit the positivity floor at t={n * dt + dt:.6g}; "
-                f"the step dt={dt:g} is too large for this trajectory"
-            )
-    return np.ascontiguousarray(store[:, n_hist:])
+            outs.append(out)
+        return outs, hits
+
+    return block
 
 
-def _integrate(rhs, terms, delays, default_history, cfg, floor=None):
-    """Integrate ``rhs`` and ``terms`` under ``cfg``: dt is cfg.dt or
+def _integrate(block, delays, default_history, cfg, floor=None):
+    """Integrate the model's ``block`` loop under ``cfg``: dt is cfg.dt or
     min(delays)/STEPS_PER_DELAY and the history cfg.history or
     ``default_history``.  Returns the samples, dt and the metadata every
     simulated trace starts from."""
     dt = min(delays) / STEPS_PER_DELAY if cfg.dt is None else cfg.dt
     history = default_history if cfg.history is None else cfg.history
-    ys = integrate_dde(rhs, terms, delays, history, cfg.horizon, dt, floor=floor)
+    ys = integrate_dde(block, delays, history, cfg.horizon, dt, floor=floor)
     return ys, dt, {"dt": dt, "horizon": cfg.horizon, "transient_fraction": cfg.transient_fraction}
 
 
@@ -234,7 +259,7 @@ def _simulate_fluid(spec, regime, net, taus, w_stars, cfg, name):
     core = core_loss_fn(regime, net.C_tilde, net.B, net.n_c) if len(taus) == 2 else None
     w0 = tuple(w * k for w, k in zip(w_stars, _kick_tuple(cfg.kick, len(taus))))
     rhs, terms = _fluid_rhs(window_laws(spec).gain, edges, taus, core)
-    ys, dt, run = _integrate(rhs, terms, taus, lambda t: w0, cfg, floor=W_FLOOR)
+    ys, dt, run = _integrate(heun_block(rhs, terms), taus, lambda t: w0, cfg, floor=W_FLOOR)
     losses = [loss_at(loss, w) for loss, w in zip(edges, ys)]
     if core is not None:
         losses.append(loss_at(core, ys[0] / taus[0] + ys[1] / taus[1]))
@@ -262,8 +287,8 @@ def simulate_fluid_linearized(spec, regime, net, cfg):
     def rhs(u, lag_term):
         return -a * u - lag_term
 
-    ys, dt, run = _integrate([rhs], lambda lags: [(c * lags[0]).tolist()], [net.tau],
-                             lambda t: (u0,), cfg)
+    ys, dt, run = _integrate(heun_block([rhs], lambda lags: [(c * lags[0]).tolist()]),
+                             [net.tau], lambda t: (u0,), cfg)
     meta = {"model": f"fluid-linearized-{regime}", "protocol": asdict(spec),
             "network": asdict(net), "a": a, "c": c, "w_star": eq.w_star}
     return Trace(0.0, dt, {"dw": ys[0]}, meta | run)
@@ -368,21 +393,42 @@ def phase_model_intermediate_general(spec, net, eq1, eq2, tau1, tau2, omega1, om
     return PhaseParams("phase-intermediate-general", (omega1, omega2), taus, tuple(rows))
 
 
+def _phase_block(params):
+    """The Heun block loop of a two-oscillator phase model, the one place its
+    derivative om_m + c_m1 sin(l1 - theta_m) + c_m2 sin(l2 - theta_m) is
+    written, with l_i = theta_i(t - tau_i).  Both oscillators step together
+    through the block's lag lists; phase models have no floor, so the loop
+    makes no bound compares and reports no hits."""
+
+    def block(ys, lags, dt, bound):
+        (om1, om2), ((m11, m12), (m21, m22)) = params.omega, params.coupling
+        sin, half = math.sin, 0.5 * dt
+        y1, y2 = ys
+        l1, l2 = lags[0].tolist(), lags[1].tolist()
+        out1, out2 = [], []
+        a1, a2 = l1[0], l2[0]
+        for b1, b2 in zip(l1[1:], l2[1:]):
+            k1 = om1 + m11 * sin(a1 - y1) + m12 * sin(a2 - y1)
+            pred = y1 + dt * k1
+            y1 = y1 + half * (k1 + (om1 + m11 * sin(b1 - pred) + m12 * sin(b2 - pred)))
+            k1 = om2 + m21 * sin(a1 - y2) + m22 * sin(a2 - y2)
+            pred = y2 + dt * k1
+            y2 = y2 + half * (k1 + (om2 + m21 * sin(b1 - pred) + m22 * sin(b2 - pred)))
+            out1.append(y1)
+            out2.append(y2)
+            a1, a2 = b1, b2
+        ys[:] = y1, y2
+        return (out1, out2), ()
+
+    return block
+
+
 def simulate_phase_oscillators(params, cfg):
     """Integrate a two-oscillator phase model; returns unwrapped phases plus
     the order-parameter series r(t), psi(t)."""
     om1, om2 = params.omega
-
-    def oscillator(om, m1, m2):
-        def rhs(th, lag_pair):
-            l1, l2 = lag_pair
-            return om + m1 * math.sin(l1 - th) + m2 * math.sin(l2 - th)
-
-        return rhs
-
-    rhs = [oscillator(om, *row) for om, row in zip(params.omega, params.coupling)]
-    ys, dt, run = _integrate(rhs, lambda lags: [list(zip(*(lag.tolist() for lag in lags)))] * 2,
-                             params.tau, lambda t: (om1 * t, om2 * t), cfg)
+    ys, dt, run = _integrate(_phase_block(params), params.tau,
+                             lambda t: (om1 * t, om2 * t), cfg)
     th1, th2 = ys
     r, psi = order_parameter(th1, th2)
     return Trace(0.0, dt, {"theta1": th1, "theta2": th2, "r": r, "psi": psi},

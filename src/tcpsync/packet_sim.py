@@ -83,6 +83,9 @@ class Topology:
             raise ValueError("capacities must be positive")
         if min(self.edge_buffer) < 1 or self.core_buffer < 1:
             raise ValueError("buffers must be at least one packet")
+        if not all(v < math.inf for v in (*self.edge_capacity, self.core_capacity,
+                                          *self.edge_buffer, self.core_buffer)):
+            raise ValueError("capacities and buffers must be finite")
         if self.core_capacity >= sum(self.edge_capacity):
             warnings.warn(
                 "core capacity is not a bottleneck for the edge aggregate",
@@ -110,6 +113,8 @@ class FlowGroup:
             raise ValueError("group needs at least one flow")
         if self.rtt <= 0 or self.access_rate <= 0:
             raise ValueError("rtt and access rate must be positive")
+        if not (self.rtt < math.inf and self.access_rate < math.inf):
+            raise ValueError("rtt and access rate must be finite")
         if self.edge not in (None, 0, 1):
             raise ValueError(f"edge must be None (cross traffic), 0 or 1, got {self.edge!r}")
 
@@ -258,8 +263,10 @@ def run_scenario(topology, groups, duration, seed=0, sample_dt=0.02):
     the tie rule holds: at equal times samples pop first, the rest in push
     order.
     """
-    if duration <= 0:
+    if not duration > 0:
         raise ValueError("duration must be positive")
+    if not 0 < sample_dt < math.inf:
+        raise ValueError("sample_dt must be positive and finite")
     rng = np.random.default_rng(seed)
 
     edges = [

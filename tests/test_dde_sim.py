@@ -3,14 +3,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tcpsync.dde_sim import (
     W_FLOOR,
     DdeConfig,
+    PhaseParams,
     _fluid_rhs,
     estimate_limit_cycle,
+    heun_block,
     integrate_dde,
     measure_lock,
     phase_model_equal,
@@ -311,13 +313,13 @@ def test_phase_general_reduces_to_equal_form():
 
 
 def zero_model(n_var):
-    """Right-hand sides and terms of y' = 0 in ``n_var`` variables."""
-    return [lambda y, row: 0.0] * n_var, lambda lags: [lag.tolist() for lag in lags]
+    """The Heun block loop of y' = 0 in ``n_var`` variables."""
+    return heun_block([lambda y, row: 0.0] * n_var, lambda lags: [lag.tolist() for lag in lags])
 
 
 def test_integrator_rejects_oversized_step():
     with pytest.raises(SimulationError):
-        integrate_dde(*zero_model(1), [0.01], lambda t: (1.0,), 1.0, 0.02)
+        integrate_dde(zero_model(1), [0.01], lambda t: (1.0,), 1.0, 0.02)
 
 
 @pytest.mark.parametrize("delays, dt", [
@@ -329,7 +331,7 @@ def test_integrator_rejects_oversized_step():
 def test_integrator_rejects_non_positive_step_or_delay(delays, dt):
     n_var = len(delays)
     with pytest.raises(SimulationError):
-        integrate_dde(*zero_model(n_var), delays, lambda t: (1.0,) * n_var, 1.0, dt)
+        integrate_dde(zero_model(n_var), delays, lambda t: (1.0,) * n_var, 1.0, dt)
 
 
 def ring_model(n_var):
@@ -375,7 +377,7 @@ def run_both(model, delays, history, horizon, dt, floor=None):
     """Outcomes of integrate_dde and the reference loop: array or error text."""
     outcomes = []
     for run in (
-        lambda: integrate_dde(*model, delays, history, horizon, dt, floor=floor),
+        lambda: integrate_dde(heun_block(*model), delays, history, horizon, dt, floor=floor),
         lambda: reference_heun_dde(whole_state_rhs(*model, dt, floor), delays, history,
                                    horizon, dt, floor=floor),
     ):
@@ -434,7 +436,7 @@ def test_integrate_dde_floor_abort_matches_reference(n_var):
 
 def test_integrate_dde_rejects_start_at_floor():
     with pytest.raises(SimulationError, match="variable 1 starts at or below"):
-        integrate_dde(*zero_model(2), [0.1, 0.1], lambda t: (1.0, 0.0), 1.0, 0.01, floor=0.0)
+        integrate_dde(zero_model(2), [0.1, 0.1], lambda t: (1.0, 0.0), 1.0, 0.01, floor=0.0)
 
 
 def test_coupled_fluid_evaluates_each_loss_law_once_per_lag_sample():
@@ -455,8 +457,8 @@ def test_coupled_fluid_evaluates_each_loss_law_once_per_lag_sample():
              for m, tau in enumerate(taus)]
     core = counted("core", core_loss_fn(SMALL_BUFFER, net.C_tilde, net.B, net.n_c))
     rhs, terms = _fluid_rhs(window_laws(RENO).gain, edges, taus, core)
-    ys = integrate_dde(rhs, terms, taus, lambda t: (eq.w_star, eq.w_star), n_steps * dt, dt,
-                       floor=W_FLOOR)
+    ys = integrate_dde(heun_block(rhs, terms), taus, lambda t: (eq.w_star, eq.w_star),
+                       n_steps * dt, dt, floor=W_FLOOR)
     assert ys.shape == (2, n_steps + 1)
     n_blocks = -(-n_steps // min(math.floor(tau / dt) for tau in taus))
     assert calls == {"edge0": n_steps + n_blocks, "edge1": n_steps + n_blocks,
@@ -521,6 +523,52 @@ def test_simulators_match_reference_wiring(model, kick, given_history, spec, reg
         assert got == want
         return
     assert (got.t0, got.dt, got.meta) == (want.t0, want.dt, want.meta)
+    assert got.data.keys() == want.data.keys()
+    assert all(np.array_equal(got.data[k], want.data[k]) for k in want.data)
+
+
+@settings(max_examples=250)
+@given(
+    omega=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=2),
+    coupling=st.lists(st.floats(-60.0, 60.0), min_size=4, max_size=4),
+    dt=st.sampled_from([0.01, 3.7e-4, 1e-3]),
+    offsets=st.lists(
+        st.one_of(st.sampled_from([1.0, 2.0, 7.0]), st.floats(1.0, 9.0)), min_size=2, max_size=2
+    ),
+    short_delay=st.integers(0, 7),
+    n_steps=st.integers(0, 40),
+    off_grid=st.one_of(st.just(0.0), st.floats(0.01, 0.49)),
+    history=st.one_of(st.none(), st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4)),
+)
+def test_phase_kernel_matches_reference(omega, coupling, dt, offsets, short_delay, n_steps,
+                                        off_grid, history):
+    """The phase block loop gives the per-step loop's trace bit for bit, or
+    its error text: arbitrary 2x2 couplings (as the general reductions make),
+    equal, unequal and fractional delays, dt == tau (one-step blocks),
+    horizons off the step and block grids, zero steps, the default ramp or a
+    given history, and (one draw in eight) a delay shorter than dt."""
+    if short_delay == 0:
+        offsets[0] = 0.5 + offsets[0] / 20.0
+    horizon = (n_steps + off_grid) * dt
+    assume(horizon > 0.0)
+    if history is not None:
+        h1, s1, h2, s2 = history
+        history = lambda t: (h1 + s1 * t, h2 + s2 * t)
+    params = PhaseParams("phase-test", tuple(omega), tuple(off * dt for off in offsets),
+                         (tuple(coupling[:2]), tuple(coupling[2:])))
+    cfg = DdeConfig(horizon=horizon, dt=dt, history=history)
+    outcomes = []
+    for simulate in (simulate_phase_oscillators, reference_simulate_phase_oscillators):
+        try:
+            outcomes.append(simulate(params, cfg))
+        except SimulationError as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want and "exceeds the smallest delay" in want
+        return
+    assert (got.t0, got.dt, got.meta) == (want.t0, want.dt, want.meta)
+    assert len(got) == n_steps + 1
     assert got.data.keys() == want.data.keys()
     assert all(np.array_equal(got.data[k], want.data[k]) for k in want.data)
 

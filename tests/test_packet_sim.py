@@ -325,6 +325,46 @@ def test_topology_needs_one_entry_per_edge(field, entries):
         Topology(**kwargs)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("edge_capacity", (800.0, NAN)),
+    ("edge_capacity", (INF, 800.0)),
+    ("core_capacity", NAN),
+    ("core_capacity", INF),
+    ("edge_buffer", (NAN, 10)),
+    ("core_buffer", INF),
+])
+def test_topology_rejects_non_finite_capacities_and_buffers(field, value):
+    kwargs = {"edge_capacity": (800.0, 800.0), "core_capacity": 1000.0,
+              "edge_buffer": (10, 10), "core_buffer": 20}
+    with pytest.raises(ValueError, match="must be finite"):
+        Topology(**(kwargs | {field: value}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rtt", INF), ("rtt", NAN), ("access_rate", INF), ("access_rate", NAN),
+])
+def test_flow_group_rejects_non_finite_rtt_and_access_rate(field, value):
+    kwargs = {"count": 1, "protocol": ProtocolSpec.reno(), "rtt": 0.1, "edge": 0}
+    with pytest.raises(ValueError, match="must be finite"):
+        FlowGroup(**(kwargs | {field: value}))
+
+
+@pytest.mark.parametrize("sample_dt", [0.0, -0.01, INF, NAN])
+def test_run_scenario_rejects_a_sample_step_that_is_not_positive_and_finite(sample_dt):
+    groups = [FlowGroup(count=1, protocol=ProtocolSpec.reno(), rtt=0.05, edge=0)]
+    with pytest.raises(ValueError, match="sample_dt must be positive and finite"):
+        run_scenario(edge_case_topology(), groups, 1.0, sample_dt=sample_dt)
+
+
+def test_run_scenario_rejects_a_nan_duration():
+    groups = [FlowGroup(count=1, protocol=ProtocolSpec.reno(), rtt=0.05, edge=0)]
+    with pytest.raises(ValueError, match="duration must be positive"):
+        run_scenario(edge_case_topology(), groups, NAN)
+
+
 # ------------------------------------------------ Lindley routers vs reference
 
 rates = st.floats(40.0, 1500.0)  # packets/s
